@@ -51,7 +51,7 @@ _MODEL_KEYS["model4-general-m"] = _MODEL_KEYS["model4"]
 _SECTION_KEYS = {
     "model": set().union(*_MODEL_KEYS.values()),
     "grid": {"length", "n", "lx", "ly", "nx", "ny"},
-    "solver": {"t_end", "dt", "scheme", "stride", "retry_limit", "lin_tol"},
+    "solver": {"t_end", "dt", "scheme", "stride", "retry_limit"},
     "ic": {"kind", "lam", "amplitude", "mode", "seed", "u", "v", "path"},
     "diagnostics": {"c4", "sigma", "mu2"},
     "output": {"dir", "snapshot_every"},
@@ -239,7 +239,6 @@ def _build_solver(sec: _Section) -> SolverConfig:
             scheme=sec.string("scheme", default="imex-be"),
             stride=sec.integer("stride", default=10),
             retry_limit=sec.integer("retry_limit", default=20),
-            lin_tol=sec.number("lin_tol", default=1e-12),
         )
     except ConfigError:
         raise

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,20 +107,37 @@ class Grid:
         return tuple(np.meshgrid(*self.coords(), indexing="ij"))
 
     def axis_weights(self) -> tuple[np.ndarray, ...]:
-        """Trapezoid quadrature weights along each axis (h/2 at the ends)."""
+        """Trapezoid quadrature weights along each axis (h/2 at the ends).
+
+        Built once per grid; the arrays are shared and read-only.
+        """
+        return self._axis_weights
+
+    def weights(self) -> np.ndarray:
+        """Full quadrature weight array (outer product of the axis weights).
+
+        Built once per grid; the array is shared and read-only.
+        """
+        return self._weights
+
+    @cached_property
+    def _axis_weights(self) -> tuple[np.ndarray, ...]:
         out = []
         for h, n in zip(self.spacings, self.counts):
             w = np.full(n, h)
             w[0] = w[-1] = 0.5 * h
+            w.setflags(write=False)
             out.append(w)
         return tuple(out)
 
-    def weights(self) -> np.ndarray:
-        """Full quadrature weight array (outer product of the axis weights)."""
-        axis_w = self.axis_weights()
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        axis_w = self._axis_weights
         if self.dim == 1:
             return axis_w[0]
-        return np.outer(axis_w[0], axis_w[1])
+        w = np.outer(axis_w[0], axis_w[1])
+        w.setflags(write=False)
+        return w
 
     # -- operators on raw value arrays ---------------------------------
 

@@ -2,14 +2,19 @@
 
 Everything goes through ``main(argv)`` in-process so exit codes and
 stdout/stderr can be asserted directly; output-file determinism is checked
-byte-for-byte.
+byte-for-byte.  Only the import-cost check starts a fresh interpreter.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarsim
 from polarsim import Model4Params, solve_equilibrium
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
@@ -399,3 +404,19 @@ class TestArgparseBehavior:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "simulate" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it would cost every CLI process
+    # a few tenths of a second and tens of MB
+    code = (
+        "import sys, polarsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(polarsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -381,3 +381,15 @@ class TestGridAndFieldValidation:
         assert w.shape == (5, 9)
         # Weights integrate the constant 1 exactly to the (normalized) volume.
         assert np.sum(w) == pytest.approx(g.volume, rel=1e-14)
+
+    def test_weights_built_once_and_read_only(self):
+        for g in (Grid.interval(2.0, 9), Grid.rectangle(1.0, 2.0, 5, 9)):
+            assert g.weights() is g.weights()
+            arrays = (g.weights(), *g.axis_weights())
+            for w in arrays:
+                assert not w.flags.writeable
+                with pytest.raises(ValueError):
+                    w[0] = 1.0
+            h, n = g.spacings[0], g.counts[0]
+            want = np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
+            assert np.array_equal(g.axis_weights()[0], want)
