@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -36,7 +34,7 @@ from .errors import (
 from .grid import Grid, second_eigenvalue
 from .kinetics import Model4Params, model_name
 from .linearization import scan_degeneracy
-from .solver import run, write_snapshot
+from .solver import RunResult, batch_key, run, write_snapshot
 
 __all__ = ["main"]
 
@@ -126,53 +124,58 @@ def _condition_lines(reports: list[diag.ConditionReport]) -> list[str]:
     return lines
 
 
-# -- scenario execution (simulate + sweep worker) ----------------------
+# -- scenario execution (simulate + sweep members) --------------------
 
 
-def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
-    """Execute one scenario, writing all outputs under scn.out_dir.
+class _Scenario:
+    """One scenario's initial condition, output headers and record callback."""
 
-    Returns (exit code, summary metrics).  Solver failures preserve the
-    partial diagnostics table and the last recorded state.
+    def __init__(self, scn: ScenarioConfig) -> None:
+        self.scn = scn
+        scn.out_dir.mkdir(parents=True, exist_ok=True)
+        self.ic = build_initial_condition(scn)
+        p = scn.params
+        self.meta = {
+            "config": scn.config_hash,
+            "model": model_name(p),
+            "params": repr(p),
+            "scheme": scn.solver.scheme,
+            "stride": scn.solver.stride,
+            "c4": _fmt(scn.c4),
+            "sigma": "derived" if scn.sigma is None else _fmt(scn.sigma),
+            "mu2_mode": scn.mu2_mode,
+            "seed": "none" if scn.seed is None else str(scn.seed),
+        }
+        self.record_index = 0
+
+    def on_record(self, state, rec) -> None:
+        idx = self.record_index
+        self.record_index += 1
+        every = self.scn.snapshot_every
+        if every > 0 and idx % every == 0:
+            write_snapshot(self.scn.out_dir / f"state_{idx:05d}.txt", state, self.scn.params, self.meta)
+
+
+def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int, dict]:
+    """Write all outputs of a finished run; returns (exit code, summary metrics).
+
+    A solver failure keeps the partial diagnostics table and the last
+    recorded state.
     """
+    scn, meta = job.scn, job.meta
     p = scn.params
     out = scn.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    u0, v0 = build_initial_condition(scn)
-
-    meta = {
-        "config": scn.config_hash,
-        "model": model_name(p),
-        "params": repr(p),
-        "scheme": scn.solver.scheme,
-        "stride": scn.solver.stride,
-        "c4": _fmt(scn.c4),
-        "sigma": "derived" if scn.sigma is None else _fmt(scn.sigma),
-        "mu2_mode": scn.mu2_mode,
-        "seed": "none" if scn.seed is None else str(scn.seed),
-    }
-
-    record_index = [0]
-
-    def on_record(state, rec) -> None:
-        idx = record_index[0]
-        record_index[0] += 1
-        if scn.snapshot_every > 0 and idx % scn.snapshot_every == 0:
-            write_snapshot(out / f"state_{idx:05d}.txt", state, p, meta)
-
     metrics: dict = {"status": "ok"}
-    try:
-        result = run((u0, v0), p, scn.solver, on_record=on_record)
-    except SolverError as exc:
-        records = getattr(exc, "partial_records", [])
-        history = getattr(exc, "partial_history", None)
+    if isinstance(result, SolverError):
+        records = getattr(result, "partial_records", [])
+        history = getattr(result, "partial_history", None)
         if records:
             diag.write_diagnostics_table(out / "diagnostics.txt", records, meta)
         if history is not None and len(history) > 0:
             write_snapshot(out / "last_state.txt", history.state(len(history) - 1), p, meta)
-        metrics["status"] = f"failed: {exc}"
+        metrics["status"] = f"failed: {result}"
         _write_summary(out / "summary.txt", meta, [("status", metrics["status"])])
-        print(f"run failed: {exc}", file=sys.stderr)
+        print(f"run failed: {result}", file=sys.stderr)
         return EXIT_RUNTIME, metrics
 
     records = result.records
@@ -253,6 +256,20 @@ def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
     pairs.append(("status", metrics["status"]))
     _write_summary(out / "summary.txt", meta, pairs)
     return exit_code, metrics
+
+
+def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
+    """Execute one scenario, writing all outputs under scn.out_dir.
+
+    Returns (exit code, summary metrics).  Solver failures preserve the
+    partial diagnostics table and the last recorded state.
+    """
+    job = _Scenario(scn)
+    try:
+        result = run(job.ic, scn.params, scn.solver, on_record=job.on_record)
+    except SolverError as exc:
+        result = exc
+    return _write_outputs(job, result)
 
 
 def _write_summary(path: Path, meta: dict, pairs: list[tuple[str, str]]) -> None:
@@ -350,9 +367,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(scn: ScenarioConfig) -> tuple[int, dict]:
+def _sweep_member(job: _Scenario, outcome) -> tuple[int, dict]:
+    """Outputs of one sweep member; an error ends that member only."""
+    if isinstance(outcome, PolarsimError) and not isinstance(outcome, SolverError):
+        return EXIT_RUNTIME, {"status": f"failed: {outcome}"}
     try:
-        return run_scenario(scn)
+        return _write_outputs(job, outcome)
     except PolarsimError as exc:
         return EXIT_RUNTIME, {"status": f"failed: {exc}"}
 
@@ -391,21 +411,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         jobs.append((tok, value, scn))
 
-    env_cap = os.environ.get("POLARSIM_THREADS", "").strip()
-    workers = len(jobs)
-    if env_cap:
-        try:
-            workers = max(1, min(workers, int(env_cap)))
-        except ValueError:
-            raise ConfigError(f"POLARSIM_THREADS = {env_cap!r} is not an integer") from None
-    else:
-        workers = max(1, min(workers, os.cpu_count() or 1))
-
+    # members that can share a stacked state go through one run call
     results: dict[str, tuple[int, dict]] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {tok: pool.submit(_sweep_worker, scn) for tok, _, scn in jobs}
-        for tok, fut in futures.items():
-            results[tok] = fut.result()
+    batches: dict[tuple, list[tuple[str, _Scenario]]] = {}
+    for tok, _, scn in jobs:
+        try:
+            job = _Scenario(scn)
+        except PolarsimError as exc:
+            results[tok] = (EXIT_RUNTIME, {"status": f"failed: {exc}"})
+            continue
+        batches.setdefault(batch_key(scn.grid, scn.params, scn.solver), []).append((tok, job))
+    for members in batches.values():
+        outcomes = run(
+            [job.ic for _, job in members],
+            [job.scn.params for _, job in members],
+            members[0][1].scn.solver,
+            on_record=[job.on_record for _, job in members],
+        )
+        for (tok, job), outcome in zip(members, outcomes):
+            results[tok] = _sweep_member(job, outcome)
 
     lines = [
         "# polarsim sweep summary",

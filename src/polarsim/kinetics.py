@@ -17,8 +17,8 @@ quadrature to 1e-10 absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "ode_rhs_model4",
     "ode_potential_model4",
     "reaction_rhs",
+    "StackedParams",
     "quasi_positivity_margins",
 ]
 
@@ -140,6 +141,11 @@ class Model4Params:
         return 1.0 - self.tau * self.D
 
     @property
+    def km(self) -> float:
+        """Hill half-saturation term k^m."""
+        return self.k**self.m
+
+    @property
     def a0(self) -> float:
         """Lower activation bound a(0) = b k0."""
         return self.b * self.k0
@@ -158,7 +164,7 @@ def _hill(p: Model4Params, u):
     # the Hill argument is clipped at zero, nothing else is altered.
     uc = np.maximum(u, 0.0)
     um = uc**p.m
-    return um / (p.k**p.m + um)
+    return um / (p.km + um)
 
 
 def a_of_u(p: Model4Params, u):
@@ -341,18 +347,47 @@ def model_name(p: ModelParams) -> str:
     raise ParameterError(f"unknown parameter object {type(p).__name__}")
 
 
-def reaction_rhs(p: ModelParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+class StackedParams:
+    """Parameters of several members of one model, for fields stacked as (B, *shape).
+
+    A value shared by every member stays as given; one that differs becomes
+    a column of shape (B, 1, ...) that broadcasts over its member's field.
+    Elementwise arithmetic then gives each member the bits of its own
+    evaluation.  The Hill exponent must be shared: ``x ** 2.0`` takes numpy's
+    square loop while ``x ** column`` takes ``pow``, whose last bits differ.
+    """
+
+    def __init__(self, ps: Sequence[ModelParams], ndim: int) -> None:
+        self.model = type(ps[0])
+        if any(type(q) is not self.model for q in ps):
+            raise ParameterError("stacked members must share one model")
+        names = [f.name for f in fields(self.model)]
+        if self.model is Model4Params:
+            names.append("km")  # per member in Python, as an unstacked call computes it
+        for name in names:
+            values = [getattr(q, name) for q in ps]
+            if len({float(x).hex() for x in values}) == 1:
+                setattr(self, name, values[0])
+            elif name == "m":
+                raise ParameterError("stacked members must share the Hill exponent m")
+            else:
+                setattr(self, name, np.array(values, dtype=float).reshape((-1,) + (1,) * ndim))
+
+
+def reaction_rhs(p: ModelParams | StackedParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Vectorized f(u, v) for the solver; identical in both equations.
 
-    The model-4 branch evaluates the Hill term with the argument clipped at
+    With :class:`StackedParams` it acts on fields stacked as (B, *shape),
+    member i with its own parameters.  The model-4 branch evaluates the Hill term with the argument clipped at
     zero so that round-off negatives from the explicit reaction step do not
     poison fractional powers; the linear -delta u part is left untouched.
     """
-    if isinstance(p, Model1Params):
+    model = p.model if isinstance(p, StackedParams) else type(p)
+    if model is Model1Params:
         return lambda u, v: f_model1(p, u, v)
-    if isinstance(p, Model2Params):
+    if model is Model2Params:
         return lambda u, v: f_model2(p, u, v)
-    if isinstance(p, Model4Params):
+    if model is Model4Params:
         return lambda u, v: v * (p.b * (p.gamma * _hill(p, u) + p.k0)) - p.delta * u
     raise ParameterError(f"unknown parameter object {type(p).__name__}")
 

@@ -19,18 +19,26 @@ extension (a DCT-I), so each step is one stacked transform pair for both
 species.  The Crank-Nicolson step needs no Laplacian evaluation.  The FFT
 length is 2(n - 1) per axis, so grids with n - 1 a product of small primes
 (e.g. n = 129, 257) are markedly faster than n - 1 prime (n = 128).
+
+:func:`run` steps a batch of B runs as one state of shape (B, 2, *shape),
+one reaction call and one transform pair per step for all of them; a single
+run is the batch B = 1.  Runs can share a batch when they share the grid,
+the resolved dt, t_end, scheme, stride, retry limit and source, the model
+and the Hill exponent (:func:`batch_key`); the other parameters may differ.
+Each member gets the bits of its own single run: a member whose positivity
+guard fails leaves the batch and redoes that step alone, halving dt there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, SolverError
+from .errors import ConfigError, ParameterError, PolarsimError, SolverError
 from .grid import Field, Grid, _axis_discrete_eigenvalues
-from .kinetics import Model4Params, ModelParams, model_name, reaction_rhs
+from .kinetics import Model4Params, ModelParams, StackedParams, model_name, reaction_rhs
 
 __all__ = [
     "SolverConfig",
@@ -40,6 +48,7 @@ __all__ = [
     "transform_z",
     "default_dt",
     "step",
+    "batch_key",
     "run",
     "write_snapshot",
     "read_snapshot",
@@ -138,12 +147,12 @@ class _NeumannSolve:
         else:  # rfft2 keeps the full length on the first axis
             self.mu = np.add.outer(np.concatenate((mu[0], mu[0][-2:0:-1])), mu[1])
 
-    def factors(self, alphas: tuple[float, ...]) -> np.ndarray:
-        """Fourier multipliers 1/(1 + alpha mu_k), one leading row per alpha."""
+    def factors(self, alphas) -> np.ndarray:
+        """Fourier multipliers 1/(1 + alpha mu_k), with the leading axes of ``alphas``."""
         return 1.0 / (1.0 + np.multiply.outer(alphas, self.mu))
 
     def __call__(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Apply S to a stacked (k, *shape) array, row i with factors[i]."""
+        """Apply S to a stacked (..., *shape) array, each field with its row of factors."""
         if len(self.counts) == 1:
             spec = np.fft.rfft(np.concatenate((rhs, rhs[..., -2:0:-1]), axis=-1))
             spec *= factors
@@ -156,90 +165,119 @@ class _NeumannSolve:
         return np.fft.irfft2(spec, self.ext)[..., :nx, :ny]
 
 
+def batch_key(g: Grid, p: ModelParams, cfg: SolverConfig) -> tuple:
+    """Members with equal keys can share one call of :func:`run`.
+
+    They must share the grid, the resolved dt and the rest of the solver
+    config, the model and, for model 4, the Hill exponent m (see
+    :class:`StackedParams`).
+    """
+    dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
+    return (g, replace(cfg, dt=dt), type(p), getattr(p, "m", None))
+
+
+def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member min and max of a stacked (B, 2, *shape) state.
+
+    NaN propagates through both and +-inf shows in one of them, so these two
+    reductions carry the whole positivity guard.
+    """
+    axes = tuple(range(1, x.ndim))
+    return x.min(axis=axes), x.max(axis=axes)
+
+
+def _accepted(before: tuple[np.ndarray, np.ndarray], after: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Guard per member: finite, and no entry below -trigger * max(1, max|start state|)."""
+    scale = np.maximum(1.0, np.maximum(before[1], -before[0]))
+    return (after[0] >= -NEGATIVITY_TRIGGER * scale) & (after[1] < np.inf)
+
+
 class _Stepper:
-    """One-dt advancement with per-dt cached Fourier multipliers and AB2 state."""
+    """One-dt advancement of B members stacked as (B, 2, *shape).
+
+    Fourier multipliers and the coefficients dt, dt/tau are cached per dt,
+    one row per member; ``prev`` is the AB2 history (dt, explicit terms).
+    """
 
     def __init__(
         self,
         g: Grid,
-        p: ModelParams,
+        ps: list[ModelParams],
         cfg: SolverConfig,
         dt: float,
         source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
+        prev: tuple[float, np.ndarray] | None = None,
     ) -> None:
-        self.p = p
+        self.g = g
+        self.ps = ps
         self.cfg = cfg
         self.dt = dt
         self.source = source
-        self.f = reaction_rhs(p)
+        self.prev = prev
+        self.f = reaction_rhs(StackedParams(ps, g.dim))
         self._solve = _NeumannSolve(g)
-        self._factors: dict[float, np.ndarray] = {}
-        self._prev_explicit: tuple[float, np.ndarray, np.ndarray] | None = None
+        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _factors_for(self, dt: float) -> np.ndarray:
-        """Multipliers of S_au and S_av; a = theta dt D and theta dt / tau."""
-        if dt not in self._factors:
+    def take(self, idx) -> "_Stepper":
+        """The stepper of members ``idx``, carrying their AB2 history."""
+        prev = None if self.prev is None else (self.prev[0], self.prev[1][idx])
+        return _Stepper(self.g, [self.ps[i] for i in idx], self.cfg, self.dt, self.source, prev)
+
+    def _constants(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Multipliers of S_au, S_av and coefficients dt, dt/tau; a = theta dt D, theta dt/tau."""
+        if dt not in self._cache:
             a = 0.5 * dt if self.cfg.scheme == "imex-cn" else dt
-            self._factors[dt] = self._solve.factors((a * self.p.D, a / self.p.tau))
-        return self._factors[dt]
+            factors = self._solve.factors([(a * p.D, a / p.tau) for p in self.ps])
+            coefs = np.array([(dt, dt / p.tau) for p in self.ps])
+            self._cache[dt] = factors, coefs.reshape(coefs.shape + (1,) * self.g.dim)
+        return self._cache[dt]
 
-    def _explicit_terms(self, t: float, u: np.ndarray, v: np.ndarray):
-        fv = self.f(u, v)
-        eu = fv
-        ev = -fv
-        if self.source is not None:
+    def attempt(self, t: float, x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """One unguarded step of dt; returns the new state and its explicit terms."""
+        fv = self.f(x[:, 0], x[:, 1])
+        if self.source is None:
+            e = np.stack((fv, -fv), axis=1)
+        else:
             su, sv = self.source(t)
-            eu = fv + su
-            ev = -fv + sv
-        return eu, ev
-
-    def _single(self, t: float, u: np.ndarray, v: np.ndarray, dt: float):
-        p = self.p
-        eu, ev = self._explicit_terms(t, u, v)
-        factors = self._factors_for(dt)
+            e = np.stack((fv + su, -fv + sv), axis=1)
+        factors, coefs = self._constants(dt)
         if self.cfg.scheme == "imex-cn":
-            prev = self._prev_explicit
+            prev = self.prev
             if prev is not None and prev[0] == dt:
-                ru = 1.5 * eu - 0.5 * prev[1]
-                rv = 1.5 * ev - 0.5 * prev[2]
+                r = 1.5 * e - 0.5 * prev[1]
             else:  # Euler bootstrap (first step / after a dt change)
-                ru, rv = eu, ev
-            self._prev_explicit = (dt, eu, ev)
+                r = e
             # S_a(u + a lap u + dt r) = S_a(2u + dt r) - u, as I + a lap = 2I - (I - a lap)
-            rhs = np.stack((2.0 * u + dt * ru, 2.0 * v + (dt / p.tau) * rv))
-            u2, v2 = self._solve(rhs, factors)
-            return u2 - u, v2 - v
-        self._prev_explicit = (dt, eu, ev)
-        u2, v2 = self._solve(np.stack((u + dt * eu, v + (dt / p.tau) * ev)), factors)
-        return u2, v2
+            return self._solve(2.0 * x + coefs * r, factors) - x, e
+        return self._solve(x + coefs * e, factors), e
 
-    def advance(self, t: float, u: np.ndarray, v: np.ndarray):
-        """Advance one nominal dt, bisecting the step on negativity."""
-        return self._try(t, u, v, self.dt, self.cfg.retry_limit)
+    def try_step(self, t: float, x: np.ndarray, stats, dt: float, budget: int):
+        """Advance a lone member by dt, bisecting the step on a failed guard."""
+        x2, e = self.attempt(t, x, dt)
+        stats2 = _extrema(x2)
+        if _accepted(stats, stats2)[0]:
+            self.prev = (dt, e)
+            return x2, stats2
+        return self.bisect(t, x, stats, dt, budget, x2, stats2)
 
-    def _try(self, t: float, u: np.ndarray, v: np.ndarray, dt: float, budget: int):
-        scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(v))))
-        u2, v2 = self._single(t, u, v, dt)
-        floor = -NEGATIVITY_TRIGGER * scale
-        finite = bool(np.all(np.isfinite(u2)) and np.all(np.isfinite(v2)))
-        if finite and float(np.min(u2)) >= floor and float(np.min(v2)) >= floor:
-            return u2, v2
+    def bisect(self, t: float, x: np.ndarray, stats, dt: float, budget: int, x2: np.ndarray, stats2):
+        """Replace a rejected step x -> x2 of a lone member by two halved substeps."""
         if budget <= 0:
-            if not finite:
+            if not (np.isfinite(stats2[0][0]) and np.isfinite(stats2[1][0])):
                 raise SolverError(
                     f"state turned non-finite at t = {t:.6g} "
                     "(dt-halving retries exhausted)"
                 )
             raise SolverError(
                 f"negativity persisted at t = {t:.6g} after exhausting dt-halving "
-                f"retries (min u = {float(np.min(u2)):.3e}, min v = {float(np.min(v2)):.3e})"
+                f"retries (min u = {float(np.min(x2[0, 0])):.3e}, min v = {float(np.min(x2[0, 1])):.3e})"
             )
         # replace the step by two halved substeps; AB2 history is stale now
-        self._prev_explicit = None
-        um, vm = self._try(t, u, v, 0.5 * dt, budget - 1)
-        self._prev_explicit = None
-        out = self._try(t + 0.5 * dt, um, vm, 0.5 * dt, budget - 1)
-        self._prev_explicit = None
+        self.prev = None
+        xm, sm = self.try_step(t, x, stats, 0.5 * dt, budget - 1)
+        self.prev = None
+        out = self.try_step(t + 0.5 * dt, xm, sm, 0.5 * dt, budget - 1)
+        self.prev = None
         return out
 
 
@@ -249,10 +287,11 @@ def step(state: SimState, p: ModelParams, cfg: SolverConfig) -> SimState:
     Convenience single-shot entry point; repeated stepping should go through
     :func:`run`, which reuses the cached Fourier multipliers.
     """
-    dt = cfg.dt if cfg.dt is not None else default_dt(state.grid, p)
-    stepper = _Stepper(state.grid, p, cfg, dt)
-    u2, v2 = stepper.advance(state.t, state.u.values, state.v.values)
-    return SimState(state.t + dt, Field(state.grid, u2), Field(state.grid, v2))
+    g = state.grid
+    dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
+    x = np.stack((state.u.values, state.v.values))[None]
+    x2, _ = _Stepper(g, [p], cfg, dt).try_step(state.t, x, _extrema(x), dt, cfg.retry_limit)
+    return SimState(state.t + dt, Field(g, x2[0, 0]), Field(g, x2[0, 1]))
 
 
 @dataclass
@@ -268,13 +307,131 @@ class RunResult:
     n_steps: int
 
 
+class _Member:
+    """One run of a batch: validated initial data, mass, equilibrium and records."""
+
+    def __init__(
+        self,
+        ic: tuple[Field, Field],
+        p: ModelParams,
+        cfg: SolverConfig,
+        on_record: Callable[[SimState, object], None] | None,
+    ) -> None:
+        from . import diagnostics  # local import: diagnostics imports this module
+
+        u0, v0 = ic
+        g = u0.grid
+        if v0.grid != g:
+            raise ParameterError("initial fields must share one grid")
+        if float(np.min(u0.values)) < 0.0 or float(np.min(v0.values)) < 0.0:
+            raise ParameterError("initial data must be nonnegative")
+        if float(np.max(u0.values)) == 0.0 and float(np.max(v0.values)) == 0.0:
+            raise ParameterError("initial data must not vanish identically")
+
+        self.g = g
+        self.p = p
+        self.lam0 = g.mean(u0.values + p.tau * v0.values)
+        self.dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
+        self.n_steps = max(1, int(round(cfg.t_end / self.dt)))
+        if abs(self.n_steps * self.dt - cfg.t_end) > 1e-8 * cfg.t_end:
+            raise ConfigError(
+                f"t_end = {cfg.t_end} is not an integer number of steps of dt = {self.dt}"
+            )
+
+        self.equilibrium = None
+        if isinstance(p, Model4Params) and p.b > 0 and p.delta > 0:
+            from .equilibrium import solve_equilibrium
+            from .errors import EquilibriumError
+
+            try:
+                self.equilibrium = solve_equilibrium(p, self.lam0)
+            except EquilibriumError:
+                self.equilibrium = None
+
+        self.builder = diagnostics.RecordBuilder(p, self.lam0, self.equilibrium)
+        self.history = diagnostics.FieldHistory(g)
+        self.records: list = []
+        self.on_record = on_record
+        self.outcome: RunResult | SolverError | None = None
+
+    def emit(self, t: float, x: np.ndarray) -> None:
+        state = SimState(t, Field(self.g, x[0].copy()), Field(self.g, x[1].copy()))
+        rec = self.builder.build(state)
+        self.records.append(rec)
+        self.history.append(state)
+        if self.on_record is not None:
+            self.on_record(state, rec)
+
+    def fail(self, exc: SolverError) -> None:
+        exc.partial_records = self.records  # type: ignore[attr-defined]
+        exc.partial_history = self.history  # type: ignore[attr-defined]
+        self.outcome = exc
+
+    def finish(self, x: np.ndarray) -> None:
+        from . import diagnostics
+
+        if len(self.records) >= 3:
+            diagnostics.attach_identity_residuals(self.records, self.history, self.p)
+        final = SimState(self.n_steps * self.dt, Field(self.g, x[0]), Field(self.g, x[1]))
+        self.outcome = RunResult(
+            final_state=final,
+            records=self.records,
+            history=self.history,
+            lam0=self.lam0,
+            equilibrium=self.equilibrium,
+            dt=self.dt,
+            n_steps=self.n_steps,
+        )
+
+
+def _march(members: list[_Member], stepper: _Stepper, x: np.ndarray, first: int) -> None:
+    """Step the stacked members from nominal step ``first`` to the end.
+
+    A lone member bisects a step that fails the guard.  In a batch, a
+    member that fails leaves it and redoes the step alone from its last
+    accepted state and AB2 history, so no trajectory depends on its
+    batchmates.
+    """
+    dt, n_steps, stride = stepper.dt, members[0].n_steps, stepper.cfg.stride
+    stats = _extrema(x)
+    for i in range(first, n_steps + 1):
+        t = (i - 1) * dt
+        x2, e = stepper.attempt(t, x, dt)
+        stats2 = _extrema(x2)
+        ok = _accepted(stats, stats2)
+        if ok.all():
+            stepper.prev = (dt, e)
+        elif len(members) == 1:
+            try:
+                x2, stats2 = stepper.bisect(t, x, stats, dt, stepper.cfg.retry_limit, x2, stats2)
+            except SolverError as exc:
+                members[0].fail(exc)
+                return
+        else:
+            for b in np.flatnonzero(~ok):
+                _march([members[b]], stepper.take([b]), x[b : b + 1], i)
+            keep = np.flatnonzero(ok)
+            if keep.size == 0:
+                return
+            members = [members[b] for b in keep]
+            stepper = stepper.take(keep)
+            stepper.prev = (dt, e[keep])
+            x2, stats2 = x2[keep], (stats2[0][keep], stats2[1][keep])
+        x, stats = x2, stats2
+        if i % stride == 0 or i == n_steps:
+            for b, m in enumerate(members):
+                m.emit(i * dt, x[b])
+    for b, m in enumerate(members):
+        m.finish(x[b])
+
+
 def run(
-    ic: tuple[Field, Field],
-    p: ModelParams,
+    ic: tuple[Field, Field] | list[tuple[Field, Field]],
+    p: ModelParams | list[ModelParams],
     cfg: SolverConfig,
-    on_record: Callable[[SimState, object], None] | None = None,
+    on_record: Callable[[SimState, object], None] | list | None = None,
     source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> RunResult:
+) -> RunResult | list[RunResult | PolarsimError]:
     """Advance the pair (u, v) from t = 0 to cfg.t_end.
 
     Emits a diagnostics record at t = 0, every cfg.stride steps and at the
@@ -282,82 +439,47 @@ def run(
     energy-identity residuals can be attached after the run.  The conserved
     mass is recomputed from the initial data, never trusted from a config.
 
+    Batch form: with ``p`` a list of parameter objects, ``ic`` a list of
+    initial pairs and ``on_record`` a list of callbacks (or None), the
+    members are stepped as one stacked state of shape (B, 2, *grid.shape)
+    and a list is returned holding, per member, its RunResult or the
+    PolarsimError that stopped it.  Members must share :func:`batch_key`;
+    each gets the bits of its own single run.
+
     Raises
     ------
     SolverError
         If negativity retries are exhausted or the state turns non-finite.
         Partial records/history are attached to the exception.
     """
-    from . import diagnostics  # local import: diagnostics imports this module
+    if not isinstance(p, list):
+        (outcome,) = run([ic], [p], cfg, [on_record], source)
+        if isinstance(outcome, PolarsimError):
+            raise outcome
+        return outcome
 
-    u0, v0 = ic
-    g = u0.grid
-    if v0.grid != g:
-        raise ParameterError("initial fields must share one grid")
-    if float(np.min(u0.values)) < 0.0 or float(np.min(v0.values)) < 0.0:
-        raise ParameterError("initial data must be nonnegative")
-    if float(np.max(u0.values)) == 0.0 and float(np.max(v0.values)) == 0.0:
-        raise ParameterError("initial data must not vanish identically")
-
-    lam0 = g.mean(u0.values + p.tau * v0.values)
-    dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
-    n_steps = max(1, int(round(cfg.t_end / dt)))
-    if abs(n_steps * dt - cfg.t_end) > 1e-8 * cfg.t_end:
-        raise ConfigError(
-            f"t_end = {cfg.t_end} is not an integer number of steps of dt = {dt}"
-        )
-
-    equilibrium = None
-    if isinstance(p, Model4Params) and p.b > 0 and p.delta > 0:
-        from .equilibrium import solve_equilibrium
-        from .errors import EquilibriumError
-
+    callbacks = on_record if on_record is not None else [None] * len(p)
+    if not (len(ic) == len(p) == len(callbacks)):
+        raise ParameterError("a batch needs one initial pair and one callback per member")
+    members: list[_Member] = []
+    outcomes: list = []
+    for pair, params, callback in zip(ic, p, callbacks):
         try:
-            equilibrium = solve_equilibrium(p, lam0)
-        except EquilibriumError:
-            equilibrium = None
-
-    builder = diagnostics.RecordBuilder(p, lam0, equilibrium)
-    history = diagnostics.FieldHistory(g)
-    records: list = []
-
-    def emit(state: SimState) -> None:
-        if not (np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.v.values))):
-            raise SolverError(f"state turned non-finite at t = {state.t:.6g}")
-        rec = builder.build(state)
-        records.append(rec)
-        history.append(state)
-        if on_record is not None:
-            on_record(state, rec)
-
-    stepper = _Stepper(g, p, cfg, dt, source)
-    u = u0.values.copy()
-    v = v0.values.copy()
-    state = SimState(0.0, Field(g, u.copy()), Field(g, v.copy()))
-    try:
-        emit(state)
-        for i in range(1, n_steps + 1):
-            t_prev = (i - 1) * dt
-            u, v = stepper.advance(t_prev, u, v)
-            if i % cfg.stride == 0 or i == n_steps:
-                state = SimState(i * dt, Field(g, u.copy()), Field(g, v.copy()))
-                emit(state)
-    except SolverError as exc:
-        exc.partial_records = records  # type: ignore[attr-defined]
-        exc.partial_history = history  # type: ignore[attr-defined]
-        raise
-    if len(records) >= 3:
-        diagnostics.attach_identity_residuals(records, history, p)
-    final = SimState(n_steps * dt, Field(g, u), Field(g, v))
-    return RunResult(
-        final_state=final,
-        records=records,
-        history=history,
-        lam0=lam0,
-        equilibrium=equilibrium,
-        dt=dt,
-        n_steps=n_steps,
-    )
+            members.append(_Member(pair, params, cfg, callback))
+        except PolarsimError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(members[-1])
+    if members:
+        keys = {batch_key(m.g, m.p, cfg) for m in members}
+        if len(keys) > 1:
+            raise ParameterError("members of one run must share grid, dt, model and Hill exponent")
+        x = np.stack([(u.values, v.values) for (u, v), o in zip(ic, outcomes) if isinstance(o, _Member)])
+        for b, m in enumerate(members):
+            m.emit(0.0, x[b])
+        stepper = _Stepper(members[0].g, [m.p for m in members], cfg, members[0].dt, source)
+        _march(members, stepper, x, 1)
+    return [o.outcome if isinstance(o, _Member) else o for o in outcomes]
 
 
 # -- plain-text snapshots ----------------------------------------------

@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polarsim
-from polarsim import Model4Params, solve_equilibrium
+from polarsim import Model4Params, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 QUICK = """\
@@ -72,6 +73,35 @@ v = 0.0
 """
 
 
+# model 4 with the IC of the study sweep; delta * dt > 1 makes the guard halve dt
+HALVING = """\
+[model]
+kind = model4
+D = 4.0
+tau = 1.0
+b = 1.0
+gamma = 1.0
+k = 1.0
+k0 = 0.1
+delta = 1.0
+
+[grid]
+{grid}
+
+[solver]
+t_end = 0.8
+dt = 0.04
+scheme = {scheme}
+stride = 5
+retry_limit = {retry_limit}
+
+[ic]
+kind = expression
+u = 0.5 + 0.2*cos(pi*x/L)
+v = 0.5 + 0.1*cos(2*pi*x/L)
+"""
+
+
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -80,6 +110,13 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def assert_same_data_rows(member, solo):
+    """Sweep member and single run agree in every data row of their tables."""
+    for name in ("diagnostics.txt", "final_state.txt", "summary.txt"):
+        rows = [[l for l in read_lines(d / name) if not l.startswith("#")] for d in (member, solo)]
+        assert rows[0] == rows[1], name
 
 
 def summary_dict(path):
@@ -316,8 +353,7 @@ class TestScan:
 
 
 class TestSweep:
-    def test_sweep_matches_single_runs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("POLARSIM_THREADS", "2")
+    def test_sweep_matches_single_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         root = tmp_path / "sweep"
         rc = main(
@@ -345,8 +381,7 @@ class TestSweep:
         assert data_rows(member / "diagnostics.txt") == data_rows(solo_out / "diagnostics.txt")
         assert data_rows(member / "final_state.txt") == data_rows(solo_out / "final_state.txt")
 
-    def test_thread_cap_single_worker(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("POLARSIM_THREADS", "1")
+    def test_dt_sweep_members_run_alone(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         root = tmp_path / "sweep"
         rc = main(
@@ -356,6 +391,97 @@ class TestSweep:
         assert rc == EXIT_OK
         assert (root / "solver.dt=0.002" / "summary.txt").exists()
         assert (root / "solver.dt=0.004" / "summary.txt").exists()
+
+    def test_grid_sweep_members_match_single_runs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK)
+        root = tmp_path / "sweep"
+        rc = main(
+            ["sweep", "--config", str(cfg), "--param", "grid.n", "--values", "17,16",
+             "--out", str(root)]
+        )
+        assert rc == EXIT_OK
+        for n in ("16", "17"):
+            solo_cfg = write_cfg(tmp_path, QUICK.replace("n = 32", f"n = {n}"), name=f"solo{n}.cfg")
+            solo_out = tmp_path / f"solo{n}"
+            assert main(["simulate", "--config", str(solo_cfg), "--out", str(solo_out)]) == EXIT_OK
+            assert_same_data_rows(root / f"grid.n={n}", solo_out)
+
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch, capsys):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        cfg = write_cfg(tmp_path, QUICK)
+        rc = main(
+            ["sweep", "--config", str(cfg), "--param", "model.d", "--values", "3.5,4.0,4.5",
+             "--out", str(tmp_path / "s")]
+        )
+        assert rc == EXIT_OK
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "grid,scheme,delta_halving",
+        [
+            ("length = 1.0\nn = 16", "imex-be", "30"),
+            # first halving at t = 0.08, so the member leaves with its AB2 history
+            ("length = 1.0\nn = 16", "imex-cn", "20"),
+            ("lx = 1.0\nly = 1.5\nnx = 6\nny = 9", "imex-cn", "20"),
+        ],
+        ids=["1d-be", "1d-cn", "2d-cn"],
+    )
+    def test_batched_members_match_single_runs(
+        self, tmp_path, monkeypatch, capsys, grid, scheme, delta_halving
+    ):
+        bisected = []
+        bisect = solver._Stepper.bisect
+
+        def spy(self, *args):
+            bisected.append((len(self.ps), self.prev is not None))
+            return bisect(self, *args)
+
+        monkeypatch.setattr(solver._Stepper, "bisect", spy)
+        text = HALVING.format(grid=grid, scheme=scheme, retry_limit=20)
+        cfg = write_cfg(tmp_path, text)
+        root = tmp_path / "sweep"
+        values = ["0.5", delta_halving, "1.5"]
+        rc = main(
+            ["sweep", "--config", str(cfg), "--param", "model.delta",
+             "--values", ",".join(values), "--out", str(root)]
+        )
+        assert rc == EXIT_OK
+        # the halving member stepped alone, under imex-cn with its AB2 history
+        assert bisected and {size for size, _ in bisected} == {1}
+        assert bisected[0][1] == (scheme == "imex-cn")
+        for delta in values:
+            solo_text = text.replace("delta = 1.0", f"delta = {delta}")
+            solo_cfg = write_cfg(tmp_path, solo_text, name=f"solo{delta}.cfg")
+            solo_out = tmp_path / f"solo{delta}"
+            assert main(["simulate", "--config", str(solo_cfg), "--out", str(solo_out)]) == EXIT_OK
+            assert_same_data_rows(root / f"model.delta={delta}", solo_out)
+
+    def test_failed_member_leaves_batchmates_ok(self, tmp_path, capsys):
+        text = HALVING.format(grid="length = 1.0\nn = 16", scheme="imex-be", retry_limit=0)
+        cfg = write_cfg(tmp_path, text)
+        root = tmp_path / "sweep"
+        rc = main(
+            ["sweep", "--config", str(cfg), "--param", "model.delta",
+             "--values", "0.5,30,1.5", "--out", str(root)]
+        )
+        assert rc == EXIT_OK
+        rows = [l.split() for l in read_lines(root / "sweep_summary.txt") if not l.startswith("#")]
+        status = {row[0]: row[1] for row in rows}
+        assert status == {"0.5": "ok", "30": "failed", "1.5": "ok"}
+        failed = root / "model.delta=30"
+        assert summary_dict(failed / "summary.txt")["status"].startswith("failed: negativity persisted")
+        assert len([l for l in read_lines(failed / "diagnostics.txt") if not l.startswith("#")]) == 1
+        assert (failed / "last_state.txt").exists()
+        assert not (failed / "final_state.txt").exists()
+        for delta in ("0.5", "1.5"):
+            assert summary_dict(root / f"model.delta={delta}" / "summary.txt")["status"] == "ok"
 
     @pytest.mark.parametrize(
         "values,message",
@@ -382,16 +508,6 @@ class TestSweep:
         )
         assert rc == EXIT_CONFIG
         assert "section.key" in capsys.readouterr().err
-
-    def test_bad_thread_env_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("POLARSIM_THREADS", "two")
-        cfg = write_cfg(tmp_path, QUICK)
-        rc = main(
-            ["sweep", "--config", str(cfg), "--param", "model.d", "--values", "4.0",
-             "--out", str(tmp_path / "s")]
-        )
-        assert rc == EXIT_CONFIG
-        assert "POLARSIM_THREADS" in capsys.readouterr().err
 
 
 class TestArgparseBehavior:

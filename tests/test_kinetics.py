@@ -34,6 +34,7 @@ from polarsim.kinetics import (
     ode_rhs_model4,
     quasi_positivity_margins,
     reaction_rhs,
+    StackedParams,
 )
 
 P4 = Model4Params(D=4.0, tau=1.0, b=1.3, gamma=0.9, k=0.7, k0=0.1, delta=1.0)
@@ -261,6 +262,33 @@ class TestReactionRhs:
         np.testing.assert_allclose(reaction_rhs(P1)(u, v), f_model1(P1, u, v), rtol=1e-15)
         np.testing.assert_allclose(reaction_rhs(P2)(u, v), f_model2(P2, u, v), rtol=1e-15)
         np.testing.assert_allclose(reaction_rhs(P4)(u, v), f_model4(P4, u, v), rtol=1e-15)
+
+    # k^m for k = 0.051 (m = 3) and k = 2.759 (m = 2) differs in the last bit
+    # between a numpy array power and Python's float power
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [P1, Model1Params(D=0.5, tau=1.2, a=1.7, b=0.3, k=2.1), P1],
+            [P2, Model2Params(D=0.3, tau=3.0, alpha1=1.9, alpha2=0.6)],
+            [P4_M3, Model4Params(D=2.0, tau=0.5, b=1.1, gamma=0.7, k=0.051, k0=0.3, delta=0.8, m=3.0)],
+            [P4, Model4Params(D=2.0, tau=0.5, b=1.1, gamma=0.7, k=2.759, k0=0.3, delta=1.7)],
+        ],
+        ids=["model1", "model2", "model4-m3", "model4"],
+    )
+    @pytest.mark.parametrize("shape", [(17,), (5, 6)])
+    def test_stacked_members_get_their_own_bits(self, members, shape):
+        rng = np.random.default_rng(4)
+        u = rng.uniform(0.0, 2.0, (len(members),) + shape)
+        v = rng.uniform(0.0, 2.0, (len(members),) + shape)
+        stacked = reaction_rhs(StackedParams(members, len(shape)))(u, v)
+        for i, p in enumerate(members):
+            np.testing.assert_array_equal(stacked[i], reaction_rhs(p)(u[i], v[i]))
+
+    def test_stacked_members_share_model_and_hill_exponent(self):
+        with pytest.raises(ParameterError, match="one model"):
+            StackedParams([P1, P2], 1)
+        with pytest.raises(ParameterError, match="Hill exponent"):
+            StackedParams([P4, P4_M3], 1)
 
     def test_model4_rhs_tolerates_roundoff_negatives(self):
         # The solver's explicit half may produce u ~ -1e-13; the Hill factor

@@ -16,6 +16,8 @@ from polarsim.errors import ConfigError, ParameterError, SolverError
 from polarsim.kinetics import reaction_rhs
 from polarsim.solver import (
     SCHEMES,
+    _accepted,
+    _extrema,
     _NeumannSolve,
     RunResult,
     SimState,
@@ -457,6 +459,53 @@ class TestSymmetryAndPositivity:
         cfg = SolverConfig(t_end=0.1, dt=0.05, stride=1)
         with pytest.raises(SolverError, match="non-finite"):
             run(ic, STD, cfg, source=bad_source)
+
+    @pytest.mark.parametrize(
+        "bad,ok", [(np.nan, False), (np.inf, False), (-np.inf, False), (-1e-3, False), (-1e-10, True)]
+    )
+    def test_guard_rejects_only_the_member_with_a_bad_entry(self, bad, ok):
+        # floor = -1e-9 * max(1, max|start state|) = -2e-9 for the middle member
+        x = np.full((3, 2, 5), 0.5)
+        x[1, 0, 0] = 2.0
+        x2 = x.copy()
+        x2[1, 1, 3] = bad
+        assert _accepted(_extrema(x), _extrema(x2)).tolist() == [True, ok, True]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_nonfinite_entry_exhausts_retries(self, bad):
+        g = Grid.interval(1.0, 17)
+        ic = cosine_ic(g, 0.1, 0.9)
+
+        def source(t):
+            su = np.zeros(17)
+            su[5] = bad
+            return su, np.zeros(17)
+
+        cfg = SolverConfig(t_end=0.1, dt=0.05, stride=1, retry_limit=2)
+        with pytest.raises(SolverError, match=r"^state turned non-finite at t = 0 \(dt-halving"):
+            run(ic, STD, cfg, source=source)
+
+    def test_one_negative_entry_halves_the_step(self):
+        # one node pushed down at t = 0 only: below the floor after dt, not after dt/2
+        g = Grid.interval(1.0, 17)
+        ic = cosine_ic(g, 0.1, 0.9)
+
+        def source(t):
+            su = np.zeros(17)
+            if t == 0.0:
+                su[5] = -30.0
+            return su, np.zeros(17)
+
+        def cfg(dt, retry_limit):
+            return SolverConfig(t_end=0.05, dt=dt, stride=1, retry_limit=retry_limit)
+
+        with pytest.raises(SolverError, match=r"^negativity persisted at t = 0 "):
+            run(ic, STD, cfg(0.05, 0), source=source)
+        halved = run(ic, STD, cfg(0.05, 1), source=source).final_state
+        two_steps = run(ic, STD, cfg(0.025, 0), source=source).final_state
+        np.testing.assert_array_equal(halved.u.values, two_steps.u.values)
+        np.testing.assert_array_equal(halved.v.values, two_steps.v.values)
 
 
 class TestStepAndResult:
