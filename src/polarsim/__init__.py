@@ -76,7 +76,6 @@ from .diagnostics import (
     ConditionReport,
     DecayEstimate,
     DiagnosticsRecord,
-    FieldHistory,
     OmegaLimitReport,
     PairingMonitor,
     RecordBuilder,
@@ -167,7 +166,6 @@ __all__ = [
     # diagnostics
     "DiagnosticsRecord",
     "RecordBuilder",
-    "FieldHistory",
     "ConditionReport",
     "check_coupling_condition",
     "check_contraction_condition",

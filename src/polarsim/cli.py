@@ -168,11 +168,11 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
     metrics: dict = {"status": "ok"}
     if isinstance(result, SolverError):
         records = getattr(result, "partial_records", [])
-        history = getattr(result, "partial_history", None)
+        last = getattr(result, "partial_state", None)
         if records:
             diag.write_diagnostics_table(out / "diagnostics.txt", records, meta)
-        if history is not None and len(history) > 0:
-            write_snapshot(out / "last_state.txt", history.state(len(history) - 1), p, meta)
+        if last is not None:
+            write_snapshot(out / "last_state.txt", last, p, meta)
         metrics["status"] = f"failed: {result}"
         _write_summary(out / "summary.txt", meta, [("status", metrics["status"])])
         print(f"run failed: {result}", file=sys.stderr)
@@ -232,10 +232,9 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
         metrics["status"] = "failed: mass conservation"
         exit_code = EXIT_RUNTIME
 
-    pairing = diag.deviation_pairing_integral(result.history, p, result.lam0)
-    pairs.append(("pairing_integral_final", _fmt(pairing.running[-1])))
-    pairs.append(("pairing_integral_sup", _fmt(pairing.sup)))
-    vsup = diag.v_norm_sup(result.history, result.lam0)
+    pairs.append(("pairing_integral_final", _fmt(result.pairing.running[-1])))
+    pairs.append(("pairing_integral_sup", _fmt(result.pairing.sup)))
+    vsup = result.v_norm_sup
     pairs.append(("v_norm_sup_from_t1", _fmt(vsup) if not math.isnan(vsup) else "n/a"))
 
     if isinstance(p, Model4Params):

@@ -4,8 +4,10 @@ Covers the conserved mass, deviation norms, the two energy (Lyapunov)
 functionals with their dissipation-identity residuals, the variational
 energies whose critical points are the stationary states, the sufficient
 convergence conditions, decay-rate estimation, and limit-set membership
-checks.  Everything here is pure post-processing over completed records;
-nothing feeds back into time stepping.
+checks.  The run monitors stream: :class:`RecordBuilder` reduces each
+recorded state to scalars as it is made, keeping the fields of the last two
+records only, and the fold functions combine those scalars at the end of
+the run.  Nothing here feeds back into time stepping.
 
 All integrals, norms, and inner products are volume-normalized, as in the
 grid module; the continuum identities are homogeneous in that normalization,
@@ -37,7 +39,6 @@ __all__ = [
     "RECORD_COLUMNS",
     "DiagnosticsRecord",
     "RecordBuilder",
-    "FieldHistory",
     "attach_identity_residuals",
     "ConditionReport",
     "check_coupling_condition",
@@ -120,39 +121,6 @@ class DiagnosticsRecord:
         )
 
 
-class FieldHistory:
-    """Append-only store of (t, u, v) at record times."""
-
-    def __init__(self, g: Grid) -> None:
-        self.grid = g
-        self.times: list[float] = []
-        self._u: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
-
-    def append(self, state: SimState) -> None:
-        if state.grid != self.grid:
-            raise ParameterError("state grid does not match history grid")
-        self.times.append(state.t)
-        self._u.append(state.u.values.copy())
-        self._v.append(state.v.values.copy())
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def u_stack(self) -> np.ndarray:
-        return np.stack(self._u)
-
-    @property
-    def v_stack(self) -> np.ndarray:
-        return np.stack(self._v)
-
-    def state(self, i: int) -> SimState:
-        return SimState(
-            self.times[i], Field(self.grid, self._u[i].copy()), Field(self.grid, self._v[i].copy())
-        )
-
-
 # -- energy functionals ------------------------------------------------
 
 
@@ -231,12 +199,34 @@ def variational_energy_model2(z: Field, p: Model2Params, lam: float) -> float:
 
 
 class RecordBuilder:
-    """Builds DiagnosticsRecords for one run (fixed params and mass)."""
+    """Builds the DiagnosticsRecords of one run (fixed params and mass).
 
-    def __init__(self, p: ModelParams, lam0: float, equilibrium=None) -> None:
+    Each :meth:`build` also streams the scalars the run monitors fold at the
+    end: the deviation pairing integrand (``pairing``), ``||v||_2``
+    (``v_norms``) and, for the models with an energy, the dissipation rate
+    at the previous record (``dissipation``, one per interior record), from
+    centered time differences over the last three records.  The builder
+    keeps the fields of the last two records for that and nothing more, so
+    a run's memory does not grow with its length.
+
+    ``uniform_times`` selects numpy.gradient's equal-spacing formula for
+    those differences.  numpy takes it when every spacing of the whole time
+    array is exactly equal, which a three-record window cannot tell, so the
+    run passes its choice (from its planned record times) and the streamed
+    values equal whole-run ``np.gradient`` bit for bit.
+    """
+
+    def __init__(
+        self, p: ModelParams, lam0: float, equilibrium=None, uniform_times: bool = False
+    ) -> None:
         self.p = p
         self.lam0 = lam0
         self.equilibrium = equilibrium
+        self.uniform_times = uniform_times
+        self.pairing: list[float] = []
+        self.v_norms: list[float] = []
+        self.dissipation: list[float] = []
+        self._window: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def build(self, state: SimState) -> DiagnosticsRecord:
         p = self.p
@@ -244,16 +234,22 @@ class RecordBuilder:
         u = state.u.values
         v = state.v.values
         w = p.D * u + v
-        lam_t = g.mean(u + p.tau * v)
+        mass = u + p.tau * v
+        lam_t = g.mean(mass)
         ud = g.deviation(u)
         vd = g.deviation(v)
         wd = g.deviation(w)
         if isinstance(p, Model1Params):
             lyap = lyapunov_model1(state.u, Field(g, w), p)
+            self._slide(g, state.t, u, w)
         elif isinstance(p, Model2Params):
-            lyap = lyapunov_model2(transform_z(state), Field(g, w), p)
+            z = transform_z(state)
+            lyap = lyapunov_model2(z, Field(g, w), p)
+            self._slide(g, state.t, z.values, w)
         else:
             lyap = math.nan
+        self.pairing.append(g.inner(wd, mass - self.lam0))
+        self.v_norms.append(g.l2_norm(v))
         if self.equilibrium is not None:
             dist = max(
                 g.linf_norm(u - self.equilibrium.u_star),
@@ -276,58 +272,72 @@ class RecordBuilder:
             dist_star=dist,
         )
 
+    def _slide(self, g: Grid, t: float, a: np.ndarray, w: np.ndarray) -> None:
+        """Window in (t, a, w), a = u (model 1) or z (model 2); rate at its middle."""
+        win = self._window
+        win.append((t, a, w))
+        if len(win) < 3:
+            return
+        (t0, a0, w0), (t1, a1, w1), (t2, a2, w2) = win
+        del win[0]
+        times = (t0, t1, t2)
+        p = self.p
+        a_t = _centered_difference(times, (a0, a1, a2), self.uniform_times)
+        if isinstance(p, Model1Params):
+            diss = p.xi * g.inner(a_t, a_t) + p.k * g.dirichlet_form(w1, w1)
+        else:
+            w_t = _centered_difference(times, (w0, w1, w2), self.uniform_times)
+            lap_w = g.laplacian(w1)
+            diss = (
+                p.xi * g.inner(a_t, a_t)
+                + g.inner(w_t, w_t)
+                + p.alpha * p.D * g.inner(lap_w, lap_w)
+                + p.alpha * p.alpha1 * g.dirichlet_form(w1, w1)
+            )
+        self.dissipation.append(diss)
+
+
+def _centered_difference(t, f, uniform: bool) -> np.ndarray:
+    """Time derivative at the middle of three records, as numpy.gradient forms it.
+
+    ``uniform`` is numpy's branch for the whole run's time array; the
+    non-uniform weights and their evaluation order are numpy's.
+    """
+    (t0, t1, t2), (f0, f1, f2) = t, f
+    if uniform:
+        return (f2 - f0) / (2.0 * (t1 - t0))
+    dx1 = t1 - t0
+    dx2 = t2 - t1
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    return a * f0 + b * f1 + c * f2
+
 
 def attach_identity_residuals(
-    records: Sequence[DiagnosticsRecord], history: FieldHistory, p: ModelParams
+    records: Sequence[DiagnosticsRecord], dissipation: Sequence[float], p: ModelParams
 ) -> None:
-    """Fill the identity_residual column from the stored field snapshots.
+    """Fill the identity_residual column from the streamed dissipation rates.
 
-    The residual at an interior record is the violation of the energy
-    dissipation identity, with all time derivatives taken as centered
-    differences across neighbouring records (second order on the record
-    spacing; for first-order accuracy tie the record stride to dt).  First
-    and last records keep NaN.  For the Hill-kinetics model, which has no
-    energy functional here, all residuals stay NaN.
+    The residual at an interior record i is the violation of the energy
+    dissipation identity, |dL/dt + dissipation[i - 1]|, with dL/dt the
+    centered difference of the ``lyapunov`` column over the record times and
+    the dissipation rates of :class:`RecordBuilder` (second order on the
+    record spacing; for first-order accuracy tie the record stride to dt).
+    First and last records keep NaN.  For the Hill-kinetics model, which has
+    no energy functional here, all residuals stay NaN.
     """
     if isinstance(p, Model4Params):
         return
-    n = len(history)
-    if n != len(records):
-        raise DiagnosticsError("records and history are out of step")
+    n = len(records)
     if n < 3:
         raise DiagnosticsError(f"need at least 3 records for residuals, got {n}")
-    g = history.grid
-    t = np.asarray(history.times)
-    us = history.u_stack
-    vs = history.v_stack
-    ws = p.D * us + vs
-    if isinstance(p, Model1Params):
-        L = np.array(
-            [lyapunov_model1(Field(g, us[i]), Field(g, ws[i]), p) for i in range(n)]
-        )
-        dL = np.gradient(L, t)
-        u_t = np.gradient(us, t, axis=0)
-        for i in range(1, n - 1):
-            diss = p.xi * g.inner(u_t[i], u_t[i]) + p.k * g.dirichlet_form(ws[i], ws[i])
-            records[i].identity_residual = abs(dL[i] + diss)
-    else:
-        zs = us + vs
-        k = p.alpha1
-        L = np.array(
-            [lyapunov_model2(Field(g, zs[i]), Field(g, ws[i]), p) for i in range(n)]
-        )
-        dL = np.gradient(L, t)
-        z_t = np.gradient(zs, t, axis=0)
-        w_t = np.gradient(ws, t, axis=0)
-        for i in range(1, n - 1):
-            lap_w = g.laplacian(ws[i])
-            diss = (
-                p.xi * g.inner(z_t[i], z_t[i])
-                + g.inner(w_t[i], w_t[i])
-                + p.alpha * p.D * g.inner(lap_w, lap_w)
-                + p.alpha * k * g.dirichlet_form(ws[i], ws[i])
-            )
-            records[i].identity_residual = abs(dL[i] + diss)
+    if len(dissipation) != n - 2:
+        raise DiagnosticsError("records and dissipation rates are out of step")
+    t = np.array([r.t for r in records])
+    dL = np.gradient(np.array([r.lyapunov for r in records]), t)
+    for i, diss in enumerate(dissipation, start=1):
+        records[i].identity_residual = abs(dL[i] + diss)
 
 
 # -- sufficient conditions ---------------------------------------------
@@ -625,42 +635,34 @@ class PairingMonitor:
 
 
 def deviation_pairing_integral(
-    history: FieldHistory, p: ModelParams, lam: float
+    times: Sequence[float], integrand: Sequence[float]
 ) -> PairingMonitor:
-    if len(history) < 2:
+    """Integrate the per-record pairing integrand (``RecordBuilder.pairing``) in time."""
+    if len(times) < 2:
         raise DiagnosticsError("need at least 2 records to integrate in time")
-    g = history.grid
-    t = np.asarray(history.times)
-    us = history.u_stack
-    vs = history.v_stack
-    vals = np.empty(len(history))
-    for i in range(len(history)):
-        w = p.D * us[i] + vs[i]
-        vals[i] = g.inner(g.deviation(w), us[i] + p.tau * vs[i] - lam)
+    if len(integrand) != len(times):
+        raise DiagnosticsError("times and integrand values are out of step")
+    t = np.asarray(times, dtype=float)
+    vals = np.asarray(integrand, dtype=float)
     increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(t)
     running = np.concatenate([[0.0], np.cumsum(increments)])
     return PairingMonitor(times=t, integrand=vals, running=running, sup=float(np.max(running)))
 
 
-def v_norm_sup(history: FieldHistory, lam: float, t_min: float = 1.0) -> float:
+def v_norm_sup(
+    times: Sequence[float], v_norms: Sequence[float], lam: float, t_min: float = 1.0
+) -> float:
     """Empirical sup of ||v||_2 / lam over record times t >= t_min.
 
+    ``v_norms`` are the per-record ``||v||_2`` (``RecordBuilder.v_norms``).
     Monitors the a priori bound that keeps the slow species proportional to
     the conserved mass after an initial smoothing interval.  NaN when no
     record lies in the window.
     """
     if not (lam > 0):
         raise ParameterError(f"lam must be positive, got {lam}")
-    g = history.grid
-    vs = history.v_stack
-    best = math.nan
-    for i, t in enumerate(history.times):
-        if t < t_min:
-            continue
-        val = g.l2_norm(vs[i]) / lam
-        if math.isnan(best) or val > best:
-            best = val
-    return best
+    vals = [norm / lam for t, norm in zip(times, v_norms) if t >= t_min]
+    return max(vals) if vals else math.nan
 
 
 # -- output ------------------------------------------------------------

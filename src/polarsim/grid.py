@@ -24,11 +24,6 @@ __all__ = [
     "Grid",
     "Field",
     "apply_laplacian",
-    "mean",
-    "deviation",
-    "l2_norm",
-    "linf_norm",
-    "h1_seminorm",
     "neumann_eigenvalue",
     "discrete_neumann_eigenvalue",
     "second_eigenvalue",
@@ -256,28 +251,6 @@ def _require_on(g: Grid, f: Field) -> np.ndarray:
 def apply_laplacian(g: Grid, f: Field) -> Field:
     """Apply the mirror-ghost Neumann Laplacian to a field."""
     return Field(g, g.laplacian(_require_on(g, f)))
-
-
-def mean(f: Field) -> float:
-    """Volume-normalized trapezoid mean of a field."""
-    return f.grid.mean(f.values)
-
-
-def deviation(f: Field) -> Field:
-    """Field minus its mean."""
-    return Field(f.grid, f.grid.deviation(f.values))
-
-
-def l2_norm(f: Field) -> float:
-    return f.grid.l2_norm(f.values)
-
-
-def linf_norm(f: Field) -> float:
-    return f.grid.linf_norm(f.values)
-
-
-def h1_seminorm(f: Field) -> float:
-    return f.grid.h1_seminorm(f.values)
 
 
 def neumann_eigenvalue(g: Grid, j: int) -> float:

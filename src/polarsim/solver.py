@@ -296,11 +296,16 @@ def step(state: SimState, p: ModelParams, cfg: SolverConfig) -> SimState:
 
 @dataclass
 class RunResult:
-    """Everything a finished run exposes to diagnostics and writers."""
+    """Everything a finished run exposes to diagnostics and writers.
+
+    ``pairing`` is the run's :class:`~polarsim.diagnostics.PairingMonitor`
+    and ``v_norm_sup`` the sup of ||v||_2 / lam0 over records at t >= 1.
+    """
 
     final_state: SimState
     records: list
-    history: object
+    pairing: object
+    v_norm_sup: float
     lam0: float
     equilibrium: object | None
     dt: float
@@ -348,9 +353,13 @@ class _Member:
             except EquilibriumError:
                 self.equilibrium = None
 
-        self.builder = diagnostics.RecordBuilder(p, self.lam0, self.equilibrium)
-        self.history = diagnostics.FieldHistory(g)
+        # numpy.gradient's spacing branch for the whole run, from the planned
+        # record times (emitted at step 0, every stride steps and the last)
+        gaps = np.diff([i * self.dt for i in [*range(0, self.n_steps, cfg.stride), self.n_steps]])
+        uniform = bool((gaps == gaps[0]).all())
+        self.builder = diagnostics.RecordBuilder(p, self.lam0, self.equilibrium, uniform)
         self.records: list = []
+        self.last_state: SimState | None = None
         self.on_record = on_record
         self.outcome: RunResult | SolverError | None = None
 
@@ -358,25 +367,28 @@ class _Member:
         state = SimState(t, Field(self.g, x[0].copy()), Field(self.g, x[1].copy()))
         rec = self.builder.build(state)
         self.records.append(rec)
-        self.history.append(state)
+        self.last_state = state
         if self.on_record is not None:
             self.on_record(state, rec)
 
     def fail(self, exc: SolverError) -> None:
         exc.partial_records = self.records  # type: ignore[attr-defined]
-        exc.partial_history = self.history  # type: ignore[attr-defined]
+        exc.partial_state = self.last_state  # type: ignore[attr-defined]
         self.outcome = exc
 
     def finish(self, x: np.ndarray) -> None:
         from . import diagnostics
 
+        b = self.builder
         if len(self.records) >= 3:
-            diagnostics.attach_identity_residuals(self.records, self.history, self.p)
+            diagnostics.attach_identity_residuals(self.records, b.dissipation, self.p)
+        times = [r.t for r in self.records]
         final = SimState(self.n_steps * self.dt, Field(self.g, x[0]), Field(self.g, x[1]))
         self.outcome = RunResult(
             final_state=final,
             records=self.records,
-            history=self.history,
+            pairing=diagnostics.deviation_pairing_integral(times, b.pairing),
+            v_norm_sup=diagnostics.v_norm_sup(times, b.v_norms, self.lam0),
             lam0=self.lam0,
             equilibrium=self.equilibrium,
             dt=self.dt,
@@ -435,9 +447,11 @@ def run(
     """Advance the pair (u, v) from t = 0 to cfg.t_end.
 
     Emits a diagnostics record at t = 0, every cfg.stride steps and at the
-    final time; snapshots of the fields at record times are retained so that
-    energy-identity residuals can be attached after the run.  The conserved
-    mass is recomputed from the initial data, never trusted from a config.
+    final time.  The run monitors (energy-identity residuals, the pairing
+    integral, the sup of ||v||) are reduced record by record and folded at
+    the end, so run memory does not grow with the number of records.  The
+    conserved mass is recomputed from the initial data, never trusted from
+    a config.
 
     Batch form: with ``p`` a list of parameter objects, ``ic`` a list of
     initial pairs and ``on_record`` a list of callbacks (or None), the
@@ -450,7 +464,8 @@ def run(
     ------
     SolverError
         If negativity retries are exhausted or the state turns non-finite.
-        Partial records/history are attached to the exception.
+        The partial records and the last recorded state are attached to the
+        exception as ``partial_records`` and ``partial_state``.
     """
     if not isinstance(p, list):
         (outcome,) = run([ic], [p], cfg, [on_record], source)

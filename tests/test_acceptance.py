@@ -27,7 +27,6 @@ from polarsim import (
 from polarsim.cli import EXIT_OK, run_scenario
 from polarsim.config import build_initial_condition, load_scenario
 from polarsim.diagnostics import (
-    attach_identity_residuals,
     check_contraction_condition,
     check_coupling_condition,
     check_sigma_condition,
@@ -289,8 +288,7 @@ def test_09_lyapunov_identities():
             maxima = []
             for dt in (2e-3, 1e-3, 5e-4):
                 cfg = SolverConfig(t_end=0.5, dt=dt, scheme="imex-cn", stride=1)
-                result = run(ic, p, cfg)
-                attach_identity_residuals(result.records, result.history, p)
+                result = run(ic, p, cfg)  # attaches the identity residuals
                 window = [
                     r.identity_residual
                     for r in result.records

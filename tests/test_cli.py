@@ -192,6 +192,13 @@ class TestSimulate:
         assert summary["status"].startswith("failed:")
         assert "negativity" in summary["status"]
         assert not (out / "final_state.txt").exists()
+        # last_state.txt holds the last recorded state: the initial data,
+        # the only record before the first step failed
+        rows = [ln.split() for ln in read_lines(out / "diagnostics.txt") if not ln.startswith("#")]
+        t, g, u, v = solver.read_snapshot(out / "last_state.txt")
+        assert t == float(rows[-1][0]) == 0.0
+        assert g.counts == (32,)
+        assert np.all(u == 1e-6) and np.all(v == 0.0)
 
 
 class TestEquilibrium:

@@ -19,7 +19,6 @@ from polarsim.diagnostics import (
     DECAY_FLOOR,
     RECORD_COLUMNS,
     DiagnosticsRecord,
-    FieldHistory,
     RecordBuilder,
     attach_identity_residuals,
     check_contraction_condition,
@@ -321,11 +320,8 @@ class TestEnergyMonotonicityAndResiduals:
     def test_attach_requires_three_records(self):
         g, u0, v0 = interval_fields()
         res = run((u0, v0), P1, SolverConfig(t_end=0.01, dt=1e-3, stride=5))
-        hist = FieldHistory(g)
-        hist.append(SimState(0.0, u0, v0))
-        hist.append(SimState(0.1, u0, v0))
         with pytest.raises(DiagnosticsError, match="at least 3"):
-            attach_identity_residuals(res.records[:2], hist, P1)
+            attach_identity_residuals(res.records[:2], [], P1)
 
 
 class TestRecordBuilder:
@@ -470,15 +466,23 @@ class TestOmegaLimit:
         assert not rep.converged
 
 
+def streamed(p, lam0, states):
+    """A RecordBuilder fed the given states, with their record times."""
+    builder = RecordBuilder(p, lam0)
+    for state in states:
+        builder.build(state)
+    return builder, [state.t for state in states]
+
+
 class TestPairingAndSup:
     def test_stationary_state_pairs_to_zero(self):
         g = Grid.interval(1.0, 17)
-        hist = FieldHistory(g)
-        for t in (0.0, 0.5, 1.0):
-            hist.append(
-                SimState(t, Field(g, np.full(17, 0.3)), Field(g, np.full(17, 0.7)))
-            )
-        mon = deviation_pairing_integral(hist, P4, 0.3 + P4.tau * 0.7)
+        states = [
+            SimState(t, Field(g, np.full(17, 0.3)), Field(g, np.full(17, 0.7)))
+            for t in (0.0, 0.5, 1.0)
+        ]
+        builder, times = streamed(P4, 0.3 + P4.tau * 0.7, states)
+        mon = deviation_pairing_integral(times, builder.pairing)
         np.testing.assert_allclose(mon.integrand, 0.0, atol=1e-14)
         np.testing.assert_allclose(mon.running, 0.0, atol=1e-14)
         assert mon.sup == 0.0
@@ -493,10 +497,16 @@ class TestPairingAndSup:
         x = g.coords()[0]
         u0 = Field(g, 0.1 * (1.0 + 0.2 * np.cos(np.pi * x)))
         v0 = Field(g, np.full(65, 0.45))
-        res = run((u0, v0), p, SolverConfig(t_end=0.5, dt=1e-3, stride=50))
-        mon = deviation_pairing_integral(res.history, p, res.lam0)
-        for i in range(len(res.history)):
-            w = p.D * res.history.u_stack[i] + res.history.v_stack[i]
+        ws = []
+        res = run(
+            (u0, v0),
+            p,
+            SolverConfig(t_end=0.5, dt=1e-3, stride=50),
+            on_record=lambda state, rec: ws.append(transform_w(state, p).values),
+        )
+        mon = res.pairing
+        assert len(ws) == len(res.records) == len(mon.integrand)
+        for i, w in enumerate(ws):
             want = p.tau * g.l2_norm(g.deviation(w)) ** 2
             assert mon.integrand[i] == pytest.approx(want, rel=1e-10, abs=1e-16)
         assert np.min(np.diff(mon.running)) >= -1e-16
@@ -504,22 +514,24 @@ class TestPairingAndSup:
 
     def test_needs_two_records(self):
         g = Grid.interval(1.0, 17)
-        hist = FieldHistory(g)
-        hist.append(SimState(0.0, Field(g, np.ones(17)), Field(g, np.ones(17))))
+        state = SimState(0.0, Field(g, np.ones(17)), Field(g, np.ones(17)))
+        builder, times = streamed(P4, 2.0, [state])
         with pytest.raises(DiagnosticsError):
-            deviation_pairing_integral(hist, P4, 2.0)
+            deviation_pairing_integral(times, builder.pairing)
 
     def test_v_norm_sup_window(self):
         g = Grid.interval(1.0, 9)
-        hist = FieldHistory(g)
-        for t, c in [(0.0, 9.0), (0.5, 5.0), (1.0, 0.6), (2.0, 0.8)]:
-            hist.append(SimState(t, Field(g, np.ones(9)), Field(g, np.full(9, c))))
+        states = [
+            SimState(t, Field(g, np.ones(9)), Field(g, np.full(9, c)))
+            for t, c in [(0.0, 9.0), (0.5, 5.0), (1.0, 0.6), (2.0, 0.8)]
+        ]
+        builder, times = streamed(P4, 2.0, states)
         # Records before t = 1 are outside the window; sup of ||v||/lam
         # over t >= 1 is 0.8 / lam.
-        assert v_norm_sup(hist, 2.0) == pytest.approx(0.4, rel=1e-13)
-        assert math.isnan(v_norm_sup(hist, 2.0, t_min=5.0))
+        assert v_norm_sup(times, builder.v_norms, 2.0) == pytest.approx(0.4, rel=1e-13)
+        assert math.isnan(v_norm_sup(times, builder.v_norms, 2.0, t_min=5.0))
         with pytest.raises(ParameterError):
-            v_norm_sup(hist, 0.0)
+            v_norm_sup(times, builder.v_norms, 0.0)
 
 
 class TestDiagnosticsWriter:

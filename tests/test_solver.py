@@ -448,6 +448,24 @@ class TestSymmetryAndPositivity:
         assert len(exc.partial_records) >= 1
         assert exc.partial_records[0].t == 0.0
 
+    def test_failure_carries_last_recorded_state(self):
+        # a sink that drives u negative from t = 0.05 on stops the run there
+        g = Grid.interval(1.0, 17)
+        ic = cosine_ic(g, 0.1, 0.9)
+        sink = np.full(17, -1e3)
+
+        def source(t):
+            return (sink if t >= 0.05 - 1e-12 else np.zeros(17)), np.zeros(17)
+
+        seen = []
+        cfg = SolverConfig(t_end=0.1, dt=0.01, retry_limit=0, stride=2)
+        with pytest.raises(SolverError, match="negativity") as exc_info:
+            run(ic, STD, cfg, on_record=lambda state, rec: seen.append(state), source=source)
+        exc = exc_info.value
+        assert [r.t for r in exc.partial_records] == [s.t for s in seen] == [0.0, 0.02, 0.04]
+        assert exc.partial_state is seen[-1]
+        assert np.min(exc.partial_state.u.values) > 0.0
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_state_detected(self):
         g = Grid.interval(1.0, 17)
@@ -532,7 +550,9 @@ class TestStepAndResult:
         assert res.lam0 == pytest.approx(
             g.mean(ic[0].values + STD.tau * ic[1].values), rel=1e-14
         )
-        assert len(res.history) == len(res.records)
+        assert list(res.pairing.times) == [r.t for r in res.records]
+        assert len(res.pairing.running) == len(res.records)
+        assert math.isnan(res.v_norm_sup)  # no record at t >= 1
 
     def test_heat_run_has_no_equilibrium(self):
         g = Grid.interval(1.0, 17)

@@ -1,0 +1,83 @@
+"""The benchmark tracer's contract with the package.
+
+``perfbench/spans.py`` wraps polarsim's public calls by looking them up by
+name, so renaming or removing one makes every traced benchmark run fail.
+Installing the tracer in a fresh interpreter and running a short traced
+simulation catches that in the test suite.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import polarsim
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+MODEL1 = """\
+[model]
+kind = model1
+D = 0.4
+tau = 1.0
+a = 1.0
+b = 1.0
+k = 1.0
+
+[grid]
+length = 1.0
+n = 17
+
+[solver]
+t_end = 0.05
+dt = 0.01
+stride = 1
+
+[ic]
+kind = expression
+u = 0.6 + 0.2*cos(pi*x/L)
+v = 0.5
+"""
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+rec = spans.Recorder(0)
+spans.install(rec)
+from polarsim.cli import main
+code = main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps({"code": code, "spans": sorted({s[0] for s in rec.spans})}))
+"""
+
+
+def test_tracer_installs_and_times_the_run_monitors(tmp_path):
+    cfg = tmp_path / "model1.cfg"
+    cfg.write_text(MODEL1)
+    src = str(Path(polarsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(PERFBENCH), str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    for name in (
+        "cli.cmd_simulate",
+        "cli.run_scenario",
+        "solver.run",
+        "diagnostics.record_build",
+        "diagnostics.attach_identity_residuals",
+        "diagnostics.deviation_pairing_integral",
+        "diagnostics.v_norm_sup",
+        "diagnostics.estimate_decay_rate",
+        "diagnostics.omega_limit_check",
+        "diagnostics.write_diagnostics_table",
+        "grid.mean",
+    ):
+        assert name in result["spans"], name
