@@ -14,11 +14,12 @@ the first step), which is second order in time and keeps the identical-R
 antisymmetry, hence exact conservation, intact.
 
 The implicit solves (I - alpha lap)^-1 are exact and direct in 1-D and 2-D
-alike: the mirror-ghost Laplacian is diagonalised by the FFT of the even
-extension (a DCT-I), so each step is one stacked transform pair for both
-species.  The Crank-Nicolson step needs no Laplacian evaluation.  The FFT
-length is 2(n - 1) per axis, so grids with n - 1 a product of small primes
-(e.g. n = 129, 257) are markedly faster than n - 1 prime (n = 128).
+alike: the mirror-ghost Laplacian is diagonalised by the DCT-I, so each step
+is one stacked transform pair for both species.  The Crank-Nicolson step
+needs no Laplacian evaluation.  In 1-D the DCT-I is the FFT of the even
+extension, of length 2(n - 1), so n - 1 a product of small primes (e.g.
+n = 129, 257) is faster than n - 1 prime.  In 2-D it is a dense matrix
+product per axis, whose cost does not depend on how n - 1 factors.
 
 :func:`run` steps a batch of B runs as one state of shape (B, 2, *shape),
 one reaction call and one transform pair per step for all of them; a single
@@ -127,42 +128,62 @@ def default_dt(g: Grid, p: ModelParams) -> float:
 
 
 class _NeumannSolve:
-    """S_alpha = (I - alpha lap)^-1 on a stack of fields in one FFT call.
+    """S_alpha = (I - alpha lap)^-1 on a stack of fields, exact and direct.
 
-    The mirror-ghost Laplacian is the periodic Laplacian restricted to even
-    extensions of length 2(n-1) per axis, so S_alpha is exact and diagonal
-    in Fourier space: extend, rfft, multiply by 1/(1 + alpha mu_k), invert,
-    truncate.  The zero mode passes through untouched, so the solve moves
-    the quadrature mean by round-off only and the drift does not build up
-    with n or the step count.  Cost follows the FFT length: prefer n - 1
-    with small prime factors.
+    The mirror-ghost Laplacian is diagonalised by the DCT-I, with
+    eigenvalues mu_k per axis, so S_alpha is a multiply by 1/(1 + alpha mu)
+    between a forward and an inverse DCT-I.  In 1-D the DCT-I is the rfft
+    of the even extension of length 2(n-1), so cost follows that FFT
+    length: prefer n - 1 with small prime factors.  In 2-D it is one dense
+    matrix product per axis each way, C U C^T with
+    C[k, j] = w_j cos(pi j k / (n-1)) (w = 1/2 at both ends, 1 elsewhere),
+    which is its own inverse up to C C = (n-1)/2 I; that scale is folded
+    into the multipliers.  Its cost, O(nx ny (nx + ny)), does not depend on
+    how n - 1 factors; the FFT of the even extension catches up only near
+    1025 x 1025.  The zero mode passes through untouched, so the solve
+    moves the quadrature mean by round-off only.
     """
 
     def __init__(self, g: Grid) -> None:
-        self.counts = g.counts
-        self.ext = tuple(2 * (n - 1) for n in g.counts)
         mu = [_axis_discrete_eigenvalues(L, n) for L, n in zip(g.lengths, g.counts)]
         if g.dim == 1:
+            self.n = g.counts[0]
             self.mu = mu[0]
-        else:  # rfft2 keeps the full length on the first axis
-            self.mu = np.add.outer(np.concatenate((mu[0], mu[0][-2:0:-1])), mu[1])
+            self.scale = 1.0
+            self.mats = None
+        else:
+            nx, ny = g.counts
+            self.mu = np.add.outer(mu[0], mu[1])
+            self.scale = 4.0 / ((nx - 1) * (ny - 1))
+            cx, cy = (_dct1_matrix(n) for n in g.counts)
+            self.mats = cx, cy.T
 
     def factors(self, alphas) -> np.ndarray:
-        """Fourier multipliers 1/(1 + alpha mu_k), with the leading axes of ``alphas``."""
-        return 1.0 / (1.0 + np.multiply.outer(alphas, self.mu))
+        """Spectral multipliers scale/(1 + alpha mu_k), with the leading axes of ``alphas``."""
+        return self.scale / (1.0 + np.multiply.outer(alphas, self.mu))
 
     def __call__(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Apply S to a stacked (..., *shape) array, each field with its row of factors."""
-        if len(self.counts) == 1:
+        if self.mats is None:
             spec = np.fft.rfft(np.concatenate((rhs, rhs[..., -2:0:-1]), axis=-1))
             spec *= factors
-            return np.fft.irfft(spec, self.ext[0])[..., : self.counts[0]]
-        ext = np.concatenate((rhs, rhs[..., -2:0:-1, :]), axis=-2)
-        ext = np.concatenate((ext, ext[..., -2:0:-1]), axis=-1)
-        spec = np.fft.rfft2(ext)
+            return np.fft.irfft(spec, 2 * (self.n - 1))[..., : self.n]
+        cx, cyt = self.mats
+        spec = cx @ rhs @ cyt
         spec *= factors
-        nx, ny = self.counts
-        return np.fft.irfft2(spec, self.ext)[..., :nx, :ny]
+        return cx @ spec @ cyt
+
+
+def _dct1_matrix(n: int) -> np.ndarray:
+    """C[k, j] = w_j cos(pi j k / (n-1)); C @ C = (n-1)/2 I.
+
+    j k is reduced modulo 2(n-1) before scaling, so every cosine argument
+    lies in [0, 2 pi) and the entries are accurate to round-off at any n.
+    """
+    k = np.arange(n)
+    c = np.cos(np.pi * (np.multiply.outer(k, k) % (2 * (n - 1))) / (n - 1))
+    c[:, [0, -1]] *= 0.5
+    return c
 
 
 def batch_key(g: Grid, p: ModelParams, cfg: SolverConfig) -> tuple:
@@ -195,7 +216,7 @@ def _accepted(before: tuple[np.ndarray, np.ndarray], after: tuple[np.ndarray, np
 class _Stepper:
     """One-dt advancement of B members stacked as (B, 2, *shape).
 
-    Fourier multipliers and the coefficients dt, dt/tau are cached per dt,
+    Spectral multipliers and the coefficients dt, dt/tau are cached per dt,
     one row per member; ``prev`` is the AB2 history (dt, explicit terms).
     """
 
@@ -285,7 +306,7 @@ def step(state: SimState, p: ModelParams, cfg: SolverConfig) -> SimState:
     """Advance a state by one step of cfg.dt (or the default dt).
 
     Convenience single-shot entry point; repeated stepping should go through
-    :func:`run`, which reuses the cached Fourier multipliers.
+    :func:`run`, which reuses the cached spectral multipliers.
     """
     g = state.grid
     dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
@@ -512,32 +533,17 @@ def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict
     if g.dim == 1:
         lines.append(f"# grid = interval {FMT % g.lengths[0]} {g.counts[0]}")
         lines.append("# columns = x u v w")
-        x = g.coords()[0]
-        for i in range(g.counts[0]):
-            lines.append(
-                " ".join(FMT % val for val in (x[i], state.u.values[i], state.v.values[i], w[i]))
-            )
+        coords = g.coords()
     else:
-        lines.append(
-            f"# grid = rectangle {FMT % g.lengths[0]} {FMT % g.lengths[1]} "
-            f"{g.counts[0]} {g.counts[1]}"
-        )
+        nx, ny = g.counts
+        lines.append(f"# grid = rectangle {FMT % g.lengths[0]} {FMT % g.lengths[1]} {nx} {ny}")
         lines.append("# columns = x y u v w")
         xs, ys = g.coords()
-        for ix in range(g.counts[0]):
-            for iy in range(g.counts[1]):
-                lines.append(
-                    " ".join(
-                        FMT % val
-                        for val in (
-                            xs[ix],
-                            ys[iy],
-                            state.u.values[ix, iy],
-                            state.v.values[ix, iy],
-                            w[ix, iy],
-                        )
-                    )
-                )
+        coords = [np.repeat(xs, ny), np.tile(ys, nx)]
+    # row-major node order; one % over a row template repeated per node
+    table = np.column_stack([*coords, state.u.values.ravel(), state.v.values.ravel(), w.ravel()])
+    row = " ".join([FMT] * table.shape[1])
+    lines.append("\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,13 +7,17 @@ positivity are checked as structural invariants.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium
 from polarsim.errors import ConfigError, ParameterError, SolverError
-from polarsim.kinetics import reaction_rhs
+from polarsim.kinetics import model_name, reaction_rhs
 from polarsim.solver import (
     SCHEMES,
     _accepted,
@@ -213,6 +217,19 @@ class TestMassConservation:
         drift = max(abs(x - res.lam0) for x in lam) / res.lam0
         assert drift < 1e-10
 
+    def test_2d_drift_long_run(self):
+        # 2e4 steps through the dense DCT-I products: a rounding bias of
+        # the transform pair would accumulate past the bound here
+        g = Grid.rectangle(1.0, 1.0, 33, 33)
+        X, Y = g.meshgrid()
+        u0 = 0.1 * (1.0 + 0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+        v0 = np.full(g.shape, 0.9)
+        cfg = SolverConfig(t_end=40.0, dt=0.002, scheme="imex-cn", stride=1000)
+        res = run((Field(g, u0), Field(g, v0)), STD, cfg)
+        assert res.n_steps == 20000
+        drift = max(abs(r.lam - res.lam0) for r in res.records) / res.lam0
+        assert drift < 1e-10, f"mass drift {drift:.3e}"
+
     def test_drift_flat_at_large_n(self):
         # 1e4 steps on n = 4097: any systematic rounding bias in the solve
         # accumulates past the bound here
@@ -278,11 +295,23 @@ ORACLE_GRIDS = [
     Grid.interval(2.5, 14),  # n - 1 = 13 is prime
     Grid.interval(1.0, 257),
     Grid.rectangle(1.0, 1.7, 7, 12),
+    Grid.rectangle(2.0, 0.7, 14, 3),  # nx != ny, nx - 1 = 13 prime, 3-node axis
 ]
+
+BLAS_BITS_SCRIPT = """
+import hashlib, numpy as np
+from polarsim.grid import Grid
+from polarsim.solver import _NeumannSolve
+g = Grid.rectangle(1.0, 1.3, 128, 128)
+solve = _NeumannSolve(g)
+rhs = np.random.default_rng(21).uniform(0.1, 1.0, size=(2, 2, *g.shape))
+out = solve(rhs, solve.factors([(0.004, 0.002), (0.3, 0.05)]))
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
 
 
 class TestNeumannSolve:
-    """The FFT solve against a dense assembly of the stencil."""
+    """The spectral solve against a dense assembly of the stencil."""
 
     def test_dense_stencil_matches_grid_laplacian(self):
         # guards the oracle itself: same operator as the grid's stencil
@@ -301,6 +330,35 @@ class TestNeumannSolve:
         assert got.shape == rhs.shape
         for i, alpha in enumerate(alphas):
             assert rel_err(got[i], dense_solve(g, alpha, rhs[i])) <= 1e-12
+
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.counts)))
+    def test_stacked_solve_equals_single_solves(self, g):
+        # sweep members get the bits of their solo runs only if a member's
+        # slice of a batched solve does not depend on its batchmates
+        rng = np.random.default_rng(17)
+        rhs = rng.uniform(0.1, 1.0, size=(3, 2, *g.shape))
+        solve = _NeumannSolve(g)
+        factors = solve.factors([(0.004, 0.002), (0.05, 0.01), (0.3, 0.2)])
+        got = solve(rhs, factors)
+        for b in range(3):
+            np.testing.assert_array_equal(got[b], solve(rhs[b : b + 1], factors[b : b + 1])[0])
+
+    def test_2d_solve_bits_independent_of_blas_threads(self):
+        # reruns are bit-identical only if the dense products are: compare
+        # fresh interpreters with one, two and the default BLAS threads
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        digests = set()
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run(
+                [sys.executable, "-c", BLAS_BITS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.counts)))
@@ -574,7 +632,56 @@ class TestStepAndResult:
         assert seen[0] == 0.0
 
 
+def loop_write_snapshot(path, state, p, meta=None):
+    """The per-value loop writer: the byte-level reference for write_snapshot."""
+    fmt = "%.17g"
+    g = state.grid
+    u, v = state.u.values, state.v.values
+    w = transform_w(state, p).values
+    lines = ["# polarsim snapshot"]
+    for key in sorted(meta or {}):
+        lines.append(f"# {key} = {meta[key]}")
+    lines.append(f"# model = {model_name(p)}")
+    lines.append("# t = " + fmt % state.t)
+    if g.dim == 1:
+        lines.append(f"# grid = interval {fmt % g.lengths[0]} {g.counts[0]}")
+        lines.append("# columns = x u v w")
+        x = g.coords()[0]
+        for i in range(g.counts[0]):
+            lines.append(" ".join(fmt % val for val in (x[i], u[i], v[i], w[i])))
+    else:
+        lines.append(
+            f"# grid = rectangle {fmt % g.lengths[0]} {fmt % g.lengths[1]} "
+            f"{g.counts[0]} {g.counts[1]}"
+        )
+        lines.append("# columns = x y u v w")
+        xs, ys = g.coords()
+        for ix in range(g.counts[0]):
+            for iy in range(g.counts[1]):
+                vals = (xs[ix], ys[iy], u[ix, iy], v[ix, iy], w[ix, iy])
+                lines.append(" ".join(fmt % val for val in vals))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize(
+        "g, meta",
+        [
+            (Grid.interval(1.5, 33), None),
+            (Grid.rectangle(1.0, 2.0, 6, 9), None),
+            (Grid.rectangle(0.3, 1.1, 11, 4), {"note": "bytes", "b_key": 2.5}),
+        ],
+        ids=["1d", "2d", "2d-meta"],
+    )
+    def test_bytes_equal_loop_writer(self, tmp_path, g, meta):
+        rng = np.random.default_rng(23)
+        u = rng.uniform(0, 1, g.shape) * 10.0 ** rng.integers(-30, 30, g.shape)
+        u.flat[0] = 0.0
+        state = SimState(1.0 / 3.0, Field(g, u), Field(g, rng.uniform(0, 1, g.shape)))
+        write_snapshot(tmp_path / "new.txt", state, STD, meta=meta)
+        loop_write_snapshot(tmp_path / "ref.txt", state, STD, meta=meta)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
     def test_roundtrip_1d(self, tmp_path):
         g = Grid.interval(1.5, 33)
         rng = np.random.default_rng(9)
