@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -64,16 +65,7 @@ def _add_model4_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> Model4Params:
-    return Model4Params(
-        D=args.D,
-        tau=args.tau,
-        b=args.b,
-        gamma=args.gamma,
-        k=args.k,
-        k0=args.k0,
-        delta=args.delta,
-        m=args.m,
-    )
+    return Model4Params(**{f.name: getattr(args, f.name) for f in fields(Model4Params)})
 
 
 def _add_mu2_flags(sp: argparse.ArgumentParser) -> None:
@@ -167,12 +159,10 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
     out = scn.out_dir
     metrics: dict = {"status": "ok"}
     if isinstance(result, SolverError):
-        records = getattr(result, "partial_records", [])
-        last = getattr(result, "partial_state", None)
-        if records:
-            diag.write_diagnostics_table(out / "diagnostics.txt", records, meta)
-        if last is not None:
-            write_snapshot(out / "last_state.txt", last, p, meta)
+        if result.partial_records:
+            diag.write_diagnostics_table(out / "diagnostics.txt", result.partial_records, meta)
+        if result.partial_state is not None:
+            write_snapshot(out / "last_state.txt", result.partial_state, p, meta)
         metrics["status"] = f"failed: {result}"
         _write_summary(out / "summary.txt", meta, [("status", metrics["status"])])
         print(f"run failed: {result}", file=sys.stderr)
@@ -500,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="evaluate the sufficient convergence conditions")
     _add_model4_flags(sp)
     _add_mu2_flags(sp)
-    sp.add_argument("--c4", type=float, default=1.0)
+    sp.add_argument("--c4", type=float, default=diag.DEFAULT_C4)
     sp.add_argument("--sigma", type=float, default=None)
     sp.set_defaults(func=cmd_check)
 

@@ -5,6 +5,12 @@ unambiguous.  Sections and keys are closed sets; an unknown key is an error
 rather than a silent ignore, because a typo in ``delta`` must not quietly
 run a different experiment.
 
+The dataclasses a section builds define its schema.  The ``[model]`` keys
+of a kind are the lowercased field names of its parameter class (a field
+without a default is required), and the ``[solver]`` keys are the fields
+of :class:`SolverConfig`.  A key absent from the file takes its field's
+default, so the defaults live in the dataclasses (and :class:`ICSpec`) only.
+
 Initial conditions come in three kinds:
 
 - ``expression``: arithmetic over node coordinates with a tiny whitelisted
@@ -19,14 +25,18 @@ from __future__ import annotations
 
 import ast
 import configparser
+import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import DEFAULT_C4
+from .equilibrium import has_homogeneous_equilibrium
 from .errors import ConfigError, ParameterError
 from .grid import Field, Grid
 from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
@@ -41,21 +51,30 @@ __all__ = [
     "config_hash",
 ]
 
-_MODEL_KEYS = {
-    "model1": {"kind", "d", "tau", "a", "b", "k"},
-    "model2": {"kind", "d", "tau", "alpha1", "alpha2"},
-    "model4": {"kind", "d", "tau", "b", "gamma", "k", "k0", "delta", "m"},
+_MODEL_KINDS = {
+    "model1": Model1Params,
+    "model2": Model2Params,
+    "model4": Model4Params,
+    "model4-general-m": Model4Params,  # every field required, m included
 }
-_MODEL_KEYS["model4-general-m"] = _MODEL_KEYS["model4"]
+
+
+def _keys(cls) -> set[str]:
+    """Config keys of a dataclass: its lowercased field names."""
+    return {f.name.lower() for f in fields(cls)}
+
 
 _SECTION_KEYS = {
-    "model": set().union(*_MODEL_KEYS.values()),
+    "model": {"kind"}.union(*map(_keys, _MODEL_KINDS.values())),
     "grid": {"length", "n", "lx", "ly", "nx", "ny"},
-    "solver": {"t_end", "dt", "scheme", "stride", "retry_limit"},
+    "solver": _keys(SolverConfig),
     "ic": {"kind", "lam", "amplitude", "mode", "seed", "u", "v", "path"},
     "diagnostics": {"c4", "sigma", "mu2"},
     "output": {"dir", "snapshot_every"},
 }
+
+# get_type_hints evaluates the annotation strings, about 0.1 ms per class
+_type_hints = functools.cache(typing.get_type_hints)
 
 _IC_KINDS = ("expression", "file", "perturbation")
 _PERTURBATION_MODES = ("cosine", "random")
@@ -103,25 +122,21 @@ class _Section:
         self.name = name
         self.items = items
 
-    def _raw(self, key: str) -> str | None:
+    def _raw(self, key: str, required: bool = False) -> str | None:
         val = self.items.get(key)
         if val is None or val.strip() == "":
+            if required:
+                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
             return None
         return val.strip()
 
     def string(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        val = self._raw(key)
-        if val is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-            return default
-        return val
+        val = self._raw(key, required)
+        return default if val is None else val
 
     def number(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        val = self._raw(key)
+        val = self._raw(key, required)
         if val is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
             return default
         try:
             out = float(val)
@@ -132,10 +147,8 @@ class _Section:
         return out
 
     def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        val = self._raw(key)
+        val = self._raw(key, required)
         if val is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
             return default
         try:
             return int(val)
@@ -173,42 +186,35 @@ def _read_sections(path: Path) -> dict[str, _Section]:
     return out
 
 
+def _present_fields(sec: _Section, cls, all_required: bool = False) -> dict:
+    """Keyword arguments for ``cls`` from the keys present in ``sec``.
+
+    Each value is read by its field's type (int, str, else number); a field
+    without a default (or every field, with ``all_required``) is required.
+    """
+    hints = _type_hints(cls)
+    readers = {int: sec.integer, str: sec.string}
+    kwargs = {}
+    for f in fields(cls):
+        read = readers.get(hints[f.name], sec.number)
+        val = read(f.name.lower(), required=all_required or f.default is MISSING)
+        if val is not None:
+            kwargs[f.name] = val
+    return kwargs
+
+
 def _build_params(sec: _Section) -> ModelParams:
     kind = sec.string("kind", required=True).lower()
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"[model] kind must be one of {sorted(_MODEL_KEYS)}, got {kind!r}")
+    if kind not in _MODEL_KINDS:
+        raise ConfigError(f"[model] kind must be one of {sorted(_MODEL_KINDS)}, got {kind!r}")
+    cls = _MODEL_KINDS[kind]
+    allowed = _keys(cls) | {"kind"}
     for key in sec.items:
-        if key not in _MODEL_KEYS[kind]:
+        if key not in allowed:
             raise ConfigError(f"key '{key}' in [model] does not belong to kind {kind}")
+    kwargs = _present_fields(sec, cls, all_required=(kind == "model4-general-m"))
     try:
-        if kind == "model1":
-            return Model1Params(
-                D=sec.number("d", required=True),
-                tau=sec.number("tau", required=True),
-                a=sec.number("a", required=True),
-                b=sec.number("b", required=True),
-                k=sec.number("k", required=True),
-            )
-        if kind == "model2":
-            return Model2Params(
-                D=sec.number("d", required=True),
-                tau=sec.number("tau", required=True),
-                alpha1=sec.number("alpha1", required=True),
-                alpha2=sec.number("alpha2", required=True),
-            )
-        m = sec.number("m", default=None, required=(kind == "model4-general-m"))
-        kwargs = dict(
-            D=sec.number("d", required=True),
-            tau=sec.number("tau", required=True),
-            b=sec.number("b", required=True),
-            gamma=sec.number("gamma", required=True),
-            k=sec.number("k", required=True),
-            k0=sec.number("k0", required=True),
-            delta=sec.number("delta", required=True),
-        )
-        if m is not None:
-            kwargs["m"] = m
-        return Model4Params(**kwargs)
+        return cls(**kwargs)
     except ParameterError as exc:
         raise ConfigError(f"[model] {exc}") from None
 
@@ -232,18 +238,7 @@ def _build_grid(sec: _Section) -> Grid:
 
 
 def _build_solver(sec: _Section) -> SolverConfig:
-    try:
-        return SolverConfig(
-            t_end=sec.number("t_end", required=True),
-            dt=sec.number("dt", default=None),
-            scheme=sec.string("scheme", default="imex-be"),
-            stride=sec.integer("stride", default=10),
-            retry_limit=sec.integer("retry_limit", default=20),
-        )
-    except ConfigError:
-        raise
-    except ParameterError as exc:
-        raise ConfigError(f"[solver] {exc}") from None
+    return SolverConfig(**_present_fields(sec, SolverConfig))
 
 
 def _build_ic(sec: _Section, params: ModelParams) -> ICSpec:
@@ -264,7 +259,7 @@ def _build_ic(sec: _Section, params: ModelParams) -> ICSpec:
         return ICSpec(kind=kind, path=path)
     if not isinstance(params, Model4Params):
         raise ConfigError("[ic] kind = perturbation requires the model4 kinetics")
-    mode = sec.string("mode", default="cosine").lower()
+    mode = sec.string("mode", default=ICSpec.mode).lower()
     if mode not in _PERTURBATION_MODES:
         raise ConfigError(f"[ic] mode must be one of {_PERTURBATION_MODES}, got {mode!r}")
     seed = sec.integer("seed", default=None)
@@ -273,7 +268,7 @@ def _build_ic(sec: _Section, params: ModelParams) -> ICSpec:
     lam = sec.number("lam", required=True)
     if not (lam > 0):
         raise ConfigError(f"[ic] lam must be positive, got {lam}")
-    amplitude = sec.number("amplitude", default=0.1)
+    amplitude = sec.number("amplitude", default=ICSpec.amplitude)
     return ICSpec(kind=kind, lam=lam, amplitude=amplitude, mode=mode, seed=seed)
 
 
@@ -313,7 +308,7 @@ def load_scenario(
     diag = secs["diagnostics"]
     outsec = secs["output"]
 
-    c4_val = c4 if c4 is not None else diag.number("c4", default=1.0)
+    c4_val = c4 if c4 is not None else diag.number("c4", default=DEFAULT_C4)
     sigma_val = sigma if sigma is not None else diag.number("sigma", default=None)
     mu2_mode = (mu2 if mu2 is not None else diag.string("mu2", default="continuum")).lower()
     if mu2_mode not in _MU2_MODES:
@@ -326,9 +321,7 @@ def load_scenario(
     if seed is not None:
         if ic.kind != "perturbation" or ic.mode != "random":
             raise ConfigError("--seed only applies to random-perturbation initial conditions")
-        ic = ICSpec(
-            kind=ic.kind, lam=ic.lam, amplitude=ic.amplitude, mode=ic.mode, seed=seed
-        )
+        ic = replace(ic, seed=seed)
 
     out_dir = Path(out) if out is not None else Path(outsec.string("dir", default="out"))
     snapshot_every = outsec.integer("snapshot_every", default=0)
@@ -446,7 +439,7 @@ def _expression_env(scn: ScenarioConfig) -> tuple[dict, set[str]]:
         names |= {"y", "Lx", "Ly"}
     if scn.ic.lam is not None:
         env["lam"] = scn.ic.lam
-        if isinstance(scn.params, Model4Params) and scn.params.b > 0 and scn.params.delta > 0:
+        if has_homogeneous_equilibrium(scn.params):
             from .equilibrium import solve_equilibrium
             from .errors import EquilibriumError
 
@@ -496,7 +489,7 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
     from .errors import EquilibriumError
 
     p = scn.params
-    if not (isinstance(p, Model4Params) and p.b > 0 and p.delta > 0):
+    if not has_homogeneous_equilibrium(p):
         raise ConfigError(
             "[ic] perturbation needs the Hill-kinetics model with b > 0 and delta > 0"
         )

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .equilibrium import has_homogeneous_equilibrium
 from .errors import DiagnosticsError, ParameterError
 from .grid import Field, Grid
 from .kinetics import (
@@ -236,9 +237,10 @@ class RecordBuilder:
         w = p.D * u + v
         mass = u + p.tau * v
         lam_t = g.mean(mass)
-        ud = g.deviation(u)
-        vd = g.deviation(v)
-        wd = g.deviation(w)
+        u_mean, v_mean, w_mean = g.mean(u), g.mean(v), g.mean(w)
+        ud = u - u_mean
+        vd = v - v_mean
+        wd = w - w_mean
         if isinstance(p, Model1Params):
             lyap = lyapunov_model1(state.u, Field(g, w), p)
             self._slide(g, state.t, u, w)
@@ -260,9 +262,9 @@ class RecordBuilder:
         return DiagnosticsRecord(
             t=state.t,
             lam=lam_t,
-            u_mean=g.mean(u),
-            v_mean=g.mean(v),
-            w_mean=g.mean(w),
+            u_mean=u_mean,
+            v_mean=v_mean,
+            w_mean=w_mean,
             u_dev_l2=g.l2_norm(ud),
             u_dev_linf=g.linf_norm(ud),
             v_dev_linf=g.linf_norm(vd),
@@ -601,7 +603,7 @@ def omega_limit_check(
             f"mean state left the conserved-mass line: |u_mean + tau v_mean - lam| = "
             f"{mass_gap:.3e} > {tol:g} * {lam:g}"
         )
-    if equilibrium is None and isinstance(p, Model4Params) and p.b > 0 and p.delta > 0:
+    if equilibrium is None and has_homogeneous_equilibrium(p):
         from .equilibrium import solve_equilibrium
 
         equilibrium = solve_equilibrium(p, lam)

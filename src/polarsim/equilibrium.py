@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EquilibriumError, ParameterError
-from .kinetics import Model4Params, a_of_u, f_model4, ode_potential_model4, ode_rhs_model4
+from .kinetics import Model4Params, ModelParams, a_of_u, f_model4, ode_potential_model4, ode_rhs_model4
 
 __all__ = [
     "HomogeneousEquilibrium",
+    "has_homogeneous_equilibrium",
     "A_of",
     "B_of",
     "balance_gap",
@@ -37,10 +38,15 @@ AUDIT_POINTS = 10_000
 BRACKET_SHRINK = 1.0 - 1e-12
 
 
+def has_homogeneous_equilibrium(p: ModelParams) -> bool:
+    """True for the Hill kinetics with b > 0 and delta > 0, the case solved here."""
+    return isinstance(p, Model4Params) and p.b > 0 and p.delta > 0
+
+
 def _check_solvable(p: Model4Params, lam: float) -> None:
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"total mass lam must be positive, got {lam}")
-    if p.b <= 0 or p.delta <= 0:
+    if not has_homogeneous_equilibrium(p):
         raise EquilibriumError(
             f"balance equation needs b > 0 and delta > 0, got b={p.b}, delta={p.delta}"
         )
@@ -63,7 +69,7 @@ def A_of(p: Model4Params, lam: float, u):
 def B_of(p: Model4Params, u):
     """Saturation branch B(u) = gamma k^m / (k^m + u^m)."""
     u_arr = np.asarray(u, dtype=float)
-    km = p.k**p.m
+    km = p.km
     out = p.gamma * km / (km + u_arr**p.m)
     return out if out.shape else float(out)
 
@@ -74,7 +80,7 @@ def balance_gap(p: Model4Params, lam: float, u):
 
 
 def _balance_gap_prime(p: Model4Params, lam: float, u: float) -> float:
-    km = p.k**p.m
+    km = p.km
     dA = -lam * p.tau * p.delta / (p.b * (u - lam) ** 2)
     dB = -p.gamma * km * p.m * u ** (p.m - 1.0) / (km + u**p.m) ** 2
     return dA - dB
@@ -93,15 +99,15 @@ class HomogeneousEquilibrium:
 def solve_equilibrium(
     p: Model4Params,
     lam: float,
-    audit_points: int = AUDIT_POINTS,
     trace: list | None = None,
 ) -> HomogeneousEquilibrium:
     """Solve the homogeneous balance equation for total mass lam.
 
     Brackets the root of Phi = A - B by a sign-change audit on a uniform grid
-    over (0, lam), then refines by bisection followed by a bracket-safeguarded
-    Newton iteration.  Exactly one sign change is required; zero or multiple
-    sign changes are reported as errors rather than silently resolved.
+    of ``AUDIT_POINTS`` points over (0, lam), then refines by bisection
+    followed by a bracket-safeguarded Newton iteration.  Exactly one sign
+    change is required; zero or multiple sign changes are reported as errors
+    rather than silently resolved.
 
     Parameters
     ----------
@@ -109,8 +115,6 @@ def solve_equilibrium(
         Kinetics parameters; needs b > 0 and delta > 0.
     lam : float
         Conserved total mass, positive.
-    audit_points : int
-        Size of the sign-change audit grid.
     trace : list or None
         When a list is supplied, bisection iterations are appended to it as
         (iteration, lo, hi, Phi(mid)) tuples.
@@ -121,7 +125,7 @@ def solve_equilibrium(
     """
     _check_solvable(p, lam)
     hi_end = lam * BRACKET_SHRINK
-    us = np.linspace(0.0, hi_end, audit_points)
+    us = np.linspace(0.0, hi_end, AUDIT_POINTS)
     gaps = balance_gap(p, lam, us)
     signs = np.sign(gaps)
     # Treat exact zeros as roots of their own

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package."""
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class PolarsimError(Exception):
     """Base class for all errors raised by polarsim."""
@@ -23,7 +25,13 @@ class QuadratureError(PolarsimError, RuntimeError):
 
 
 class SolverError(PolarsimError, RuntimeError):
-    """Time integration failed (positivity retries exhausted, no convergence...)."""
+    """Time integration failed (positivity retries exhausted, no convergence...).
+
+    ``partial_records`` and ``partial_state`` hold what the run had recorded.
+    """
+
+    partial_records: Sequence = ()
+    partial_state: object | None = None
 
 
 class DiagnosticsError(PolarsimError, RuntimeError):

@@ -179,7 +179,7 @@ def a_prime(p: Model4Params, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ParameterError("a'(u) requires u >= 0")
-    km = p.k**p.m
+    km = p.km
     out = p.b * p.gamma * p.m * km * u_arr ** (p.m - 1.0) / (km + u_arr**p.m) ** 2
     return out if out.shape else float(out)
 

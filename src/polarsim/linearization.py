@@ -178,11 +178,9 @@ def scan_degeneracy(
         raise ParameterError(f"need at least 2 samples, got {samples}")
 
     def resid(x: float) -> float:
-        if param == "D":
-            return degeneracy_residual(replace(p, D=x), lam, j, mu_j)
-        if param == "delta":
-            return degeneracy_residual(replace(p, delta=x), lam, j, mu_j)
-        return degeneracy_residual(p, x, j, mu_j)
+        if param == "lambda":
+            return degeneracy_residual(p, x, j, mu_j)
+        return degeneracy_residual(replace(p, **{param: x}), lam, j, mu_j)
 
     xs = np.linspace(lo, hi, samples)
     rs = np.empty_like(xs)

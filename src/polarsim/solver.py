@@ -37,9 +37,10 @@ from typing import Callable
 
 import numpy as np
 
+from .equilibrium import has_homogeneous_equilibrium
 from .errors import ConfigError, ParameterError, PolarsimError, SolverError
 from .grid import Field, Grid, _axis_discrete_eigenvalues
-from .kinetics import Model4Params, ModelParams, StackedParams, model_name, reaction_rhs
+from .kinetics import ModelParams, StackedParams, model_name, reaction_rhs
 
 __all__ = [
     "SolverConfig",
@@ -365,7 +366,7 @@ class _Member:
             )
 
         self.equilibrium = None
-        if isinstance(p, Model4Params) and p.b > 0 and p.delta > 0:
+        if has_homogeneous_equilibrium(p):
             from .equilibrium import solve_equilibrium
             from .errors import EquilibriumError
 
@@ -393,8 +394,8 @@ class _Member:
             self.on_record(state, rec)
 
     def fail(self, exc: SolverError) -> None:
-        exc.partial_records = self.records  # type: ignore[attr-defined]
-        exc.partial_state = self.last_state  # type: ignore[attr-defined]
+        exc.partial_records = self.records
+        exc.partial_state = self.last_state
         self.outcome = exc
 
     def finish(self, x: np.ndarray) -> None:

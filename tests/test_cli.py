@@ -5,6 +5,7 @@ stdout/stderr can be asserted directly; output-file determinism is checked
 byte-for-byte.  Only the import-cost check starts a fresh interpreter.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 import polarsim
 from polarsim import Model4Params, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from polarsim.linearization import degeneracy_residual
 
 QUICK = """\
 [model]
@@ -357,6 +359,42 @@ class TestScan:
     def test_scan_requires_param(self, capsys):
         rc = main(["scan", "--lo", "0.0", "--hi", "1.0"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "param,lo,hi", [("delta", 0.05, 2.0), ("lambda", 0.2, 5.0), ("D", 0.02, 1.0)]
+    )
+    def test_scan_matches_direct_residual(self, capsys, param, lo, hi):
+        flags = ["--D", "0.1", "--tau", "1.25", "--k0", "0.05", "--delta", "0.22",
+                 "--lam", "1.0", "--length", repr(2.0 * math.pi)]
+        rc = main(["scan", "--param", param, "--lo", str(lo), "--hi", str(hi)] + flags)
+        assert rc == EXIT_OK
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l[0].isdigit()]
+        assert rows
+        p = Model4Params(D=0.1, tau=1.25, b=1.0, gamma=1.0, k=1.0, k0=0.05, delta=0.22)
+        mu2 = (math.pi / (2.0 * math.pi)) ** 2
+
+        def residual(x):
+            if param == "lambda":
+                return degeneracy_residual(p, x, 2, mu2)
+            if param == "D":
+                return degeneracy_residual(dataclasses.replace(p, D=x), 1.0, 2, mu2)
+            return degeneracy_residual(dataclasses.replace(p, delta=x), 1.0, 2, mu2)
+
+        for root, res, b_lo, b_hi in (map(float, row) for row in rows):
+            assert res == residual(root)
+            assert residual(b_lo) * residual(b_hi) < 0
+
+    def test_model_flags_reach_their_fields(self, capsys):
+        values = {"D": 3.5, "tau": 1.25, "b": 1.5, "gamma": 0.75, "k": 1.1,
+                  "k0": 0.2, "delta": 0.9, "m": 3.0}
+        argv = ["equilibrium", "--lam", "1.3"]
+        for name, val in values.items():
+            argv += [f"--{name}", repr(val)]
+        assert main(argv) == EXIT_OK
+        out = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines() if " = " in l)
+        eq = solve_equilibrium(Model4Params(**values), 1.3)
+        assert out["model"] == "model4-general-m"
+        assert float(out["u_star"]) == eq.u_star and float(out["v_star"]) == eq.v_star
 
 
 class TestSweep:

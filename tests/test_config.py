@@ -1,18 +1,24 @@
 """Scenario parsing, expression safety, and initial-condition assembly."""
 
+import configparser
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarsim import Grid, Model1Params, Model4Params, solve_equilibrium
+from polarsim import Grid, Model1Params, Model2Params, Model4Params, config, solve_equilibrium
 from polarsim.config import (
+    ICSpec,
     build_initial_condition,
     compile_expression,
     load_scenario,
 )
 from polarsim.errors import ConfigError
-from polarsim.solver import SimState, write_snapshot
+from polarsim.kinetics import model_name
+from polarsim.solver import SimState, SolverConfig, write_snapshot
 from polarsim import Field
 
 BASE = """\
@@ -332,3 +338,146 @@ class TestInitialConditionAssembly:
         mismatched = text.replace("n = 64", "n = 32")
         with pytest.raises(ConfigError, match="does not match configured grid"):
             build_initial_condition(load_scenario(write_cfg(tmp_path, mismatched, name="mm.cfg")))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# One [model] section per kind, with every key the kind accepts.  The values
+# differ from one another so that a key read into the wrong field shows.
+MODEL_SECTIONS = {
+    "model1": ("D = 0.4\ntau = 1.5\na = 1.25\nb = 0.75\nk = 1.1\n",
+               Model1Params(D=0.4, tau=1.5, a=1.25, b=0.75, k=1.1)),
+    "model2": ("D = 0.4\ntau = 2.0\nalpha1 = 1.25\nalpha2 = 0.75\n",
+               Model2Params(D=0.4, tau=2.0, alpha1=1.25, alpha2=0.75)),
+    "model4": ("D = 4.0\ntau = 1.5\nb = 1.25\ngamma = 0.75\nk = 1.1\nk0 = 0.1\ndelta = 0.9\nm = 2.0\n",
+               Model4Params(D=4.0, tau=1.5, b=1.25, gamma=0.75, k=1.1, k0=0.1, delta=0.9, m=2.0)),
+    "model4-general-m": (
+        "D = 4.0\ntau = 1.5\nb = 1.25\ngamma = 0.75\nk = 1.1\nk0 = 0.1\ndelta = 0.9\nm = 3.0\n",
+        Model4Params(D=4.0, tau=1.5, b=1.25, gamma=0.75, k=1.1, k0=0.1, delta=0.9, m=3.0),
+    ),
+}
+
+# The keys each kind accepts, and the ones it requires, written out.
+MODEL_KEYS = {
+    "model1": {"kind", "d", "tau", "a", "b", "k"},
+    "model2": {"kind", "d", "tau", "alpha1", "alpha2"},
+    "model4": {"kind", "d", "tau", "b", "gamma", "k", "k0", "delta", "m"},
+    "model4-general-m": {"kind", "d", "tau", "b", "gamma", "k", "k0", "delta", "m"},
+}
+REQUIRED_MODEL_KEYS = [
+    (kind, key)
+    for kind, keys in (
+        ("model1", ("d", "tau", "a", "b", "k")),
+        ("model2", ("d", "tau", "alpha1", "alpha2")),
+        ("model4", ("d", "tau", "b", "gamma", "k", "k0", "delta")),
+        ("model4-general-m", ("d", "tau", "b", "gamma", "k", "k0", "delta", "m")),
+    )
+    for key in keys
+]
+
+SECTION_KEYS = {
+    "model": set().union(*MODEL_KEYS.values()),
+    "grid": {"length", "n", "lx", "ly", "nx", "ny"},
+    "solver": {"t_end", "dt", "scheme", "stride", "retry_limit"},
+    "ic": {"kind", "lam", "amplitude", "mode", "seed", "u", "v", "path"},
+    "diagnostics": {"c4", "sigma", "mu2"},
+    "output": {"dir", "snapshot_every"},
+}
+
+EXPRESSION_REST = """
+[grid]
+length = 1.0
+n = 16
+
+[solver]
+t_end = 0.5
+dt = 0.001
+
+[ic]
+kind = expression
+u = 0.5
+v = 0.7
+"""
+
+
+def model_text(kind, body):
+    return f"[model]\nkind = {kind}\n{body}{EXPRESSION_REST}"
+
+
+class TestDerivedSchema:
+    """The section schemas come from the dataclasses; these pin what they accept."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_loads_its_model_values(self, path):
+        scn = load_scenario(path)
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path)
+        model = dict(cp["model"])
+        kind = model.pop("kind")
+        assert model_name(scn.params) == kind
+        attrs = {"d": "D"}
+        for key, val in model.items():
+            assert getattr(scn.params, attrs.get(key, key)) == float(val), key
+        solver = cp["solver"]
+        assert scn.solver.t_end == float(solver["t_end"])
+        assert scn.solver.dt == float(solver["dt"])
+        assert scn.solver.scheme == solver.get("scheme", "imex-be")
+        assert scn.solver.stride == int(solver.get("stride", "10"))
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_SECTIONS))
+    def test_every_key_of_a_kind_reaches_its_field(self, tmp_path, kind):
+        body, want = MODEL_SECTIONS[kind]
+        scn = load_scenario(write_cfg(tmp_path, model_text(kind, body)))
+        assert scn.params == want
+        assert model_name(scn.params) == kind
+
+    @pytest.mark.parametrize("kind,key", REQUIRED_MODEL_KEYS, ids="-".join)
+    def test_missing_required_model_key_is_named(self, tmp_path, kind, key):
+        body = "".join(
+            line + "\n" for line in MODEL_SECTIONS[kind][0].splitlines()
+            if line.split(" = ")[0].lower() != key
+        )
+        with pytest.raises(ConfigError, match=rf"^\[model\] is missing required key '{key}'$"):
+            load_scenario(write_cfg(tmp_path, model_text(kind, body)))
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_KEYS))
+    def test_keys_of_other_kinds_rejected(self, tmp_path, kind):
+        foreign = sorted(SECTION_KEYS["model"] - MODEL_KEYS[kind])
+        assert foreign
+        for key in foreign:
+            text = model_text(kind, MODEL_SECTIONS[kind][0] + f"{key} = 1.0\n")
+            with pytest.raises(ConfigError, match=f"key '{key}' in \\[model\\] does not belong"):
+                load_scenario(write_cfg(tmp_path, text))
+
+    def test_section_key_sets(self, tmp_path):
+        assert config._SECTION_KEYS == SECTION_KEYS
+        for sec in ("solver", "ic"):
+            bad = BASE.replace(f"[{sec}]\n", f"[{sec}]\nzeta = 1\n")
+            with pytest.raises(ConfigError, match=re.escape(f"allowed: {sorted(SECTION_KEYS[sec])}")):
+                load_scenario(write_cfg(tmp_path, bad))
+
+    def test_solver_defaults_come_from_solver_config(self, tmp_path):
+        text = BASE.replace("t_end = 1.0\ndt = 0.002\n", "t_end = 1.0\n")
+        assert load_scenario(write_cfg(tmp_path, text)).solver == SolverConfig(t_end=1.0)
+
+    def test_solver_keys_reach_their_fields(self, tmp_path):
+        text = BASE.replace(
+            "dt = 0.002\n", "dt = 0.002\nscheme = IMEX-CN\nstride = 7\nretry_limit = 3\n"
+        )
+        assert load_scenario(write_cfg(tmp_path, text)).solver == SolverConfig(
+            t_end=1.0, dt=0.002, scheme="imex-cn", stride=7, retry_limit=3
+        )
+        with pytest.raises(ConfigError, match=r"\[solver\] stride = '2.5' is not an integer"):
+            load_scenario(write_cfg(tmp_path, BASE.replace("dt = 0.002\n", "dt = 0.002\nstride = 2.5\n")))
+
+    def test_perturbation_defaults_come_from_ic_spec(self, tmp_path):
+        text = BASE.replace("amplitude = 0.1\n", "")
+        assert load_scenario(write_cfg(tmp_path, text)).ic == ICSpec(kind="perturbation", lam=1.0)
+
+    def test_seed_override_changes_only_the_seed(self, tmp_path):
+        rnd = BASE.replace("amplitude = 0.1", "amplitude = 0.05\nmode = random\nseed = 1")
+        path = write_cfg(tmp_path, rnd)
+        base, seeded = load_scenario(path), load_scenario(path, seed=99)
+        assert seeded.ic == ICSpec(kind="perturbation", lam=1.0, amplitude=0.05, mode="random", seed=99)
+        assert replace(base, ic=seeded.ic, config_hash=seeded.config_hash) == seeded
+        assert base.config_hash != seeded.config_hash
