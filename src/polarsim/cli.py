@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 on success, 2 for configuration or
 usage errors, 3 for runtime failures (solver breakdown, failed invariant).
 Every output file starts with provenance headers including the config hash;
 reruns with identical inputs produce bit-identical files (no timestamps,
-fixed float formatting).
+fixed float formatting).  Files and printed tables are laid out by
+:mod:`polarsim.tables`.
 """
 from __future__ import annotations
 
@@ -32,21 +33,18 @@ from .errors import (
     PolarsimError,
     SolverError,
 )
-from .grid import Grid, second_eigenvalue
+from .grid import EIGENVALUE_MODES, Grid, second_eigenvalue
 from .kinetics import Model4Params, model_name
 from .linearization import scan_degeneracy
 from .solver import RunResult, batch_key, run, write_snapshot
+from .tables import fmt, format_rows, format_table, write_table
 
 __all__ = ["main"]
 
-FMT = "%.17g"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _fmt(x: float) -> str:
-    return FMT % x
+CONDITION_COLUMNS = ("name", "satisfied", "lhs", "rhs", "extras")
 
 
 # -- shared argument groups --------------------------------------------
@@ -73,7 +71,7 @@ def _add_mu2_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=256, help="grid points for discrete mu_j (default 256)")
     sp.add_argument(
         "--mu2",
-        choices=("continuum", "discrete"),
+        choices=EIGENVALUE_MODES,
         default="continuum",
         help="use the continuum (j pi/L)^2 eigenvalues or their grid counterparts",
     )
@@ -97,23 +95,31 @@ def _condition_reports(
     ]
 
 
-def _condition_lines(reports: list[diag.ConditionReport]) -> list[str]:
-    lines = ["# columns = name satisfied lhs rhs extras"]
+def _condition_rows(reports: list[diag.ConditionReport]) -> str:
+    """One line per report, in the order of CONDITION_COLUMNS."""
+    lines = []
     for r in reports:
-        extras = [f"mu2={_fmt(r.mu2)}", f"mu2_mode={r.mu2_mode}"]
+        extras = [f"mu2={fmt(r.mu2)}", f"mu2_mode={r.mu2_mode}"]
         if r.C4 is not None:
-            extras.append(f"c4={_fmt(r.C4)}")
+            extras.append(f"c4={fmt(r.C4)}")
         if r.sigma is not None:
-            extras.append(f"sigma={_fmt(r.sigma)}")
+            extras.append(f"sigma={fmt(r.sigma)}")
             extras.append(f"sigma_source={r.sigma_source}")
         if r.alt_lhs is not None:
-            extras.append(f"alt_lhs={_fmt(r.alt_lhs)}")
+            extras.append(f"alt_lhs={fmt(r.alt_lhs)}")
             extras.append(f"alt_satisfied={'yes' if r.alt_satisfied else 'no'}")
         lines.append(
-            f"{r.name} {'yes' if r.satisfied else 'no'} {_fmt(r.lhs)} {_fmt(r.rhs)} "
+            f"{r.name} {'yes' if r.satisfied else 'no'} {fmt(r.lhs)} {fmt(r.rhs)} "
             + " ".join(extras)
         )
-    return lines
+    return "\n".join(lines)
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
 
 
 # -- scenario execution (simulate + sweep members) --------------------
@@ -124,7 +130,7 @@ class _Scenario:
 
     def __init__(self, scn: ScenarioConfig) -> None:
         self.scn = scn
-        scn.out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(scn.out_dir)
         self.ic = build_initial_condition(scn)
         p = scn.params
         self.meta = {
@@ -133,8 +139,8 @@ class _Scenario:
             "params": repr(p),
             "scheme": scn.solver.scheme,
             "stride": scn.solver.stride,
-            "c4": _fmt(scn.c4),
-            "sigma": "derived" if scn.sigma is None else _fmt(scn.sigma),
+            "c4": fmt(scn.c4),
+            "sigma": "derived" if scn.sigma is None else fmt(scn.sigma),
             "mu2_mode": scn.mu2_mode,
             "seed": "none" if scn.seed is None else str(scn.seed),
         }
@@ -170,36 +176,35 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
 
     records = result.records
     meta_run = dict(meta)
-    meta_run["lam"] = _fmt(result.lam0)
-    meta_run["dt"] = _fmt(result.dt)
+    meta_run["lam"] = fmt(result.lam0)
+    meta_run["dt"] = fmt(result.dt)
     meta_run["n_steps"] = str(result.n_steps)
     diag.write_diagnostics_table(out / "diagnostics.txt", records, meta_run)
     write_snapshot(out / "final_state.txt", result.final_state, p, meta_run)
 
     pairs: list[tuple[str, str]] = [
         ("model", model_name(p)),
-        ("lam", _fmt(result.lam0)),
-        ("dt", _fmt(result.dt)),
+        ("lam", fmt(result.lam0)),
+        ("dt", fmt(result.dt)),
         ("n_steps", str(result.n_steps)),
         ("n_records", str(len(records))),
     ]
     if result.equilibrium is not None:
-        pairs.append(("u_star", _fmt(result.equilibrium.u_star)))
-        pairs.append(("v_star", _fmt(result.equilibrium.v_star)))
+        pairs.append(("u_star", fmt(result.equilibrium.u_star)))
+        pairs.append(("v_star", fmt(result.equilibrium.v_star)))
 
     lam_drift = max(abs(r.lam - result.lam0) for r in records) / result.lam0
     final = records[-1]
-    pairs.append(("mass_drift_rel_max", _fmt(lam_drift)))
-    pairs.append(("u_dev_linf_final", _fmt(final.u_dev_linf)))
-    pairs.append(("w_dev_l2_final", _fmt(final.w_dev_l2)))
+    pairs.append(("mass_drift_rel_max", fmt(lam_drift)))
+    pairs.append(("u_dev_linf_final", fmt(final.u_dev_linf)))
+    pairs.append(("w_dev_l2_final", fmt(final.w_dev_l2)))
     metrics["u_dev_linf_final"] = final.u_dev_linf
-    metrics["mass_drift_rel_max"] = lam_drift
 
     rate_str = "n/a"
     metrics["decay_rate"] = math.nan
     try:
         est = diag.estimate_decay_rate(records, "u_dev_linf")
-        rate_str = _fmt(est.rate)
+        rate_str = fmt(est.rate)
         metrics["decay_rate"] = est.rate
         pairs.append(("decay_rate_u_dev_linf", rate_str))
         pairs.append(("decay_window_converged", "yes" if est.converged else "no"))
@@ -211,36 +216,33 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
         om = diag.omega_limit_check(
             result.final_state, p, result.lam0, tol=1e-6, equilibrium=result.equilibrium
         )
-        pairs.append(("mass_line_gap", _fmt(om.mass_gap)))
+        pairs.append(("mass_line_gap", fmt(om.mass_gap)))
         pairs.append(("mass_line_check", "pass"))
         if not math.isnan(om.u_gap):
-            pairs.append(("omega_u_gap", _fmt(om.u_gap)))
-            pairs.append(("omega_v_gap", _fmt(om.v_gap)))
+            pairs.append(("omega_u_gap", fmt(om.u_gap)))
+            pairs.append(("omega_v_gap", fmt(om.v_gap)))
             pairs.append(("omega_converged", "yes" if om.converged else "no"))
     except DiagnosticsError as exc:
         pairs.append(("mass_line_check", f"FAIL: {exc}"))
         metrics["status"] = "failed: mass conservation"
         exit_code = EXIT_RUNTIME
 
-    pairs.append(("pairing_integral_final", _fmt(result.pairing.running[-1])))
-    pairs.append(("pairing_integral_sup", _fmt(result.pairing.sup)))
+    pairs.append(("pairing_integral_final", fmt(result.pairing.running[-1])))
+    pairs.append(("pairing_integral_sup", fmt(result.pairing.sup)))
     vsup = result.v_norm_sup
-    pairs.append(("v_norm_sup_from_t1", _fmt(vsup) if not math.isnan(vsup) else "n/a"))
+    pairs.append(("v_norm_sup_from_t1", fmt(vsup) if not math.isnan(vsup) else "n/a"))
 
+    header = [("config", scn.config_hash)]
     if isinstance(p, Model4Params):
         mu2 = second_eigenvalue(scn.grid, scn.mu2_mode)
         reports = _condition_reports(p, result.lam0, mu2, scn.mu2_mode, scn.c4, scn.sigma)
-        lines = ["# polarsim conditions", f"# config = {scn.config_hash}"]
-        lines += _condition_lines(reports)
-        (out / "conditions.txt").write_text("\n".join(lines) + "\n")
+        rows = _condition_rows(reports)
+        write_table(out / "conditions.txt", "conditions", header, CONDITION_COLUMNS, rows)
         for r in reports:
             pairs.append((f"condition_{r.name}", "pass" if r.satisfied else "fail"))
     else:
-        (out / "conditions.txt").write_text(
-            "# polarsim conditions\n"
-            f"# config = {scn.config_hash}\n"
-            "# the sufficient conditions are defined for the Hill-kinetics model only\n"
-        )
+        note = "# the sufficient conditions are defined for the Hill-kinetics model only"
+        write_table(out / "conditions.txt", "conditions", header, body=note)
 
     pairs.append(("status", metrics["status"]))
     _write_summary(out / "summary.txt", meta, pairs)
@@ -262,10 +264,8 @@ def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
 
 
 def _write_summary(path: Path, meta: dict, pairs: list[tuple[str, str]]) -> None:
-    lines = ["# polarsim summary", f"# config = {meta['config']}"]
-    for key, val in pairs:
-        lines.append(f"{key} = {val}")
-    path.write_text("\n".join(lines) + "\n")
+    body = "\n".join(f"{key} = {val}" for key, val in pairs)
+    write_table(path, "summary", [("config", meta["config"])], body=body)
 
 
 # -- subcommands -------------------------------------------------------
@@ -287,17 +287,17 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     trace: list = []
     eq = solve_equilibrium(p, args.lam, trace=trace)
     print(f"model = {model_name(p)}")
-    print(f"lam = {_fmt(args.lam)}")
-    print(f"u_star = {_fmt(eq.u_star)}")
-    print(f"v_star = {_fmt(eq.v_star)}")
-    print(f"residual = {_fmt(eq.residual)}")
+    print(f"lam = {fmt(args.lam)}")
+    print(f"u_star = {fmt(eq.u_star)}")
+    print(f"v_star = {fmt(eq.v_star)}")
+    print(f"residual = {fmt(eq.residual)}")
     if p.gamma == 0.0:
         closed = constant_a_equilibrium(p.a0, p.tau, p.delta, args.lam)
-        print(f"constant_a_u_star = {_fmt(closed)}")
-        print(f"constant_a_gap = {_fmt(abs(closed - eq.u_star))}")
+        print(f"constant_a_u_star = {fmt(closed)}")
+        print(f"constant_a_gap = {fmt(abs(closed - eq.u_star))}")
     print("# bisection trace: iter lo hi gap_mid")
-    for it, lo, hi, gm in trace:
-        print(f"{it} {_fmt(lo)} {_fmt(hi)} {_fmt(gm)}")
+    if trace:
+        print(format_rows(trace))
     return EXIT_OK
 
 
@@ -306,15 +306,14 @@ def cmd_ode(args: argparse.Namespace) -> int:
     u0 = args.u0 if args.u0 is not None else 0.5 * args.lam
     traj = integrate_homogeneous_ode(p, args.lam, u0, args.t_end, args.dt)
     print(f"# model = {model_name(p)}")
-    print(f"# lam = {_fmt(args.lam)}  U0 = {_fmt(u0)}  dt = {_fmt(traj.dt)}")
-    print("# columns = t U V G")
+    print(f"# lam = {fmt(args.lam)}  U0 = {fmt(u0)}  dt = {fmt(traj.dt)}")
     n = len(traj.t)
     stride = max(1, n // 200)
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    for i in idx:
-        print(f"{_fmt(traj.t[i])} {_fmt(traj.U[i])} {_fmt(traj.V[i])} {_fmt(traj.G[i])}")
+    rows = format_rows(list(zip(traj.t[idx], traj.U[idx], traj.V[idx], traj.G[idx])))
+    print(format_table(columns=("t", "U", "V", "G"), body=rows))
     return EXIT_OK
 
 
@@ -323,36 +322,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = Grid.interval(args.length, args.n)
     mu2 = second_eigenvalue(g, args.mu2)
     reports = _condition_reports(p, args.lam, mu2, args.mu2, args.c4, args.sigma)
-    for line in _condition_lines(reports):
-        print(line)
+    print(format_table(columns=CONDITION_COLUMNS, body=_condition_rows(reports)))
     return EXIT_OK
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     g = Grid.interval(args.length, args.n)
-    if args.mu2 == "continuum":
-        from .grid import neumann_eigenvalue
-
-        mu_j = neumann_eigenvalue(g, args.j)
-    else:
-        from .grid import discrete_neumann_eigenvalue
-
-        mu_j = discrete_neumann_eigenvalue(g, args.j)
+    mu_j = EIGENVALUE_MODES[args.mu2](g, args.j)
     reports = scan_degeneracy(
         p, args.lam, args.j, mu_j, args.param, args.lo, args.hi, args.samples
     )
-    print(f"# scan param = {args.param}  j = {args.j}  mu_j = {_fmt(mu_j)} ({args.mu2})")
-    print(f"# range = [{_fmt(args.lo)}, {_fmt(args.hi)}]  samples = {args.samples}")
+    print(f"# scan param = {args.param}  j = {args.j}  mu_j = {fmt(mu_j)} ({args.mu2})")
+    print(f"# range = [{fmt(args.lo)}, {fmt(args.hi)}]  samples = {args.samples}")
     if not reports:
         print("no degeneracy points found")
         return EXIT_OK
-    print("# columns = root residual bracket_lo bracket_hi")
-    for r in reports:
-        print(
-            f"{_fmt(r.root)} {_fmt(r.residual_at_root)} "
-            f"{_fmt(r.bracket[0])} {_fmt(r.bracket[1])}"
-        )
+    rows = format_rows([(r.root, r.residual_at_root, *r.bracket) for r in reports])
+    print(format_table(columns=("root", "residual", "bracket_lo", "bracket_hi"), body=rows))
     return EXIT_OK
 
 
@@ -379,9 +366,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     template = Path(args.config)
     if not template.exists():
         raise ConfigError(f"config file {template} does not exist")
-    base_text = template.read_text()
+    try:
+        base_text = template.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {template}: {exc}") from None
     root = Path(args.out) if args.out is not None else Path("sweep_out")
-    root.mkdir(parents=True, exist_ok=True)
+    _make_dir(root)
 
     # materialize and validate every scenario before launching any run, so
     # structural config errors abort the sweep as a whole (exit 2)
@@ -392,7 +382,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"sweep value {tok!r} is not a number") from None
         subdir = root / f"{section}.{key}={tok}"
-        subdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(subdir)
         cfg_path = subdir / "scenario.cfg"
         cfg_path.write_text(_override_config_text(base_text, section, key, tok))
         scn = load_scenario(
@@ -420,11 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for (tok, job), outcome in zip(members, outcomes):
             results[tok] = _sweep_member(job, outcome)
 
-    lines = [
-        "# polarsim sweep summary",
-        f"# param = {section}.{key}",
-        "# columns = value status decay_rate u_dev_linf_final",
-    ]
+    lines = []
     n_ok = 0
     for tok, value, _ in sorted(jobs, key=lambda job: job[1]):
         code, metrics = results[tok]
@@ -433,8 +419,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             n_ok += 1
         rate = metrics.get("decay_rate", math.nan)
         dev = metrics.get("u_dev_linf_final", math.nan)
-        lines.append(f"{tok} {status} {_fmt(rate)} {_fmt(dev)}")
-    (root / "sweep_summary.txt").write_text("\n".join(lines) + "\n")
+        lines.append(f"{tok} {status} {fmt(rate)} {fmt(dev)}")
+    columns = ("value", "status", "decay_rate", "u_dev_linf_final")
+    rows = "\n".join(lines)
+    write_table(root / "sweep_summary.txt", "sweep summary", [("param", args.param)], columns, rows)
     print(f"sweep finished: {n_ok}/{len(jobs)} runs succeeded; summary in {root}")
     return EXIT_OK if n_ok > 0 else EXIT_RUNTIME
 
@@ -473,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="override the random-IC seed")
     sp.add_argument("--c4", type=float, help="override the C4 constant")
     sp.add_argument("--sigma", type=float, help="override sigma (default: derived)")
-    sp.add_argument("--mu2", choices=("continuum", "discrete"), help="override mu2 mode")
+    sp.add_argument("--mu2", choices=EIGENVALUE_MODES, help="override mu2 mode")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("equilibrium", help="solve the homogeneous balance equation")
@@ -512,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--c4", type=float)
     sp.add_argument("--sigma", type=float)
-    sp.add_argument("--mu2", choices=("continuum", "discrete"))
+    sp.add_argument("--mu2", choices=EIGENVALUE_MODES)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -37,8 +37,8 @@ import numpy as np
 
 from .diagnostics import DEFAULT_C4
 from .equilibrium import has_homogeneous_equilibrium
-from .errors import ConfigError, ParameterError
-from .grid import Field, Grid
+from .errors import ConfigError, EquilibriumError, ParameterError
+from .grid import EIGENVALUE_MODES, Field, Grid
 from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
 from .solver import SolverConfig, read_snapshot
 
@@ -78,7 +78,6 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 _IC_KINDS = ("expression", "file", "perturbation")
 _PERTURBATION_MODES = ("cosine", "random")
-_MU2_MODES = ("continuum", "discrete")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def _read_sections(path: Path) -> dict[str, _Section]:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
@@ -311,8 +310,10 @@ def load_scenario(
     c4_val = c4 if c4 is not None else diag.number("c4", default=DEFAULT_C4)
     sigma_val = sigma if sigma is not None else diag.number("sigma", default=None)
     mu2_mode = (mu2 if mu2 is not None else diag.string("mu2", default="continuum")).lower()
-    if mu2_mode not in _MU2_MODES:
-        raise ConfigError(f"[diagnostics] mu2 must be one of {_MU2_MODES}, got {mu2_mode!r}")
+    if mu2_mode not in EIGENVALUE_MODES:
+        raise ConfigError(
+            f"[diagnostics] mu2 must be one of {tuple(EIGENVALUE_MODES)}, got {mu2_mode!r}"
+        )
     if not (c4_val > 0):
         raise ConfigError(f"[diagnostics] c4 must be positive, got {c4_val}")
     if sigma_val is not None and not (sigma_val > 0):
@@ -441,7 +442,6 @@ def _expression_env(scn: ScenarioConfig) -> tuple[dict, set[str]]:
         env["lam"] = scn.ic.lam
         if has_homogeneous_equilibrium(scn.params):
             from .equilibrium import solve_equilibrium
-            from .errors import EquilibriumError
 
             try:
                 eq = solve_equilibrium(scn.params, scn.ic.lam)
@@ -486,7 +486,6 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
         return fields[0], fields[1]
     # perturbation of the homogeneous equilibrium
     from .equilibrium import solve_equilibrium
-    from .errors import EquilibriumError
 
     p = scn.params
     if not has_homogeneous_equilibrium(p):

@@ -16,12 +16,14 @@ so they hold verbatim for the normalized quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .equilibrium import has_homogeneous_equilibrium
 from .errors import DiagnosticsError, ParameterError
 from .grid import Field, Grid
@@ -34,7 +36,7 @@ from .kinetics import (
     drift_primitive_model1,
     drift_primitive_model2,
 )
-from .solver import SimState, transform_w, transform_z
+from .solver import SimState, transform_z
 
 __all__ = [
     "RECORD_COLUMNS",
@@ -63,22 +65,6 @@ __all__ = [
 
 DEFAULT_C4 = 1.0
 DECAY_FLOOR = 1e-13
-FMT = "%.17g"
-
-RECORD_COLUMNS = (
-    "t",
-    "lambda",
-    "u_mean",
-    "v_mean",
-    "w_mean",
-    "u_dev_l2",
-    "u_dev_linf",
-    "v_dev_linf",
-    "w_dev_l2",
-    "lyapunov",
-    "identity_residual",
-    "dist_star",
-)
 
 
 @dataclass
@@ -106,20 +92,14 @@ class DiagnosticsRecord:
     dist_star: float
 
     def row(self) -> tuple[float, ...]:
-        return (
-            self.t,
-            self.lam,
-            self.u_mean,
-            self.v_mean,
-            self.w_mean,
-            self.u_dev_l2,
-            self.u_dev_linf,
-            self.v_dev_linf,
-            self.w_dev_l2,
-            self.lyapunov,
-            self.identity_residual,
-            self.dist_star,
-        )
+        """The values in :data:`RECORD_COLUMNS` order."""
+        return _record_row(self)
+
+
+# the record field of each table column; the mass ``lam`` is written as ``lambda``
+_COLUMN_FIELDS = {{"lam": "lambda"}.get(f.name, f.name): f.name for f in fields(DiagnosticsRecord)}
+RECORD_COLUMNS = tuple(_COLUMN_FIELDS)
+_record_row = operator.attrgetter(*_COLUMN_FIELDS.values())
 
 
 # -- energy functionals ------------------------------------------------
@@ -556,11 +536,10 @@ def estimate_decay_rate(
     floor: float = DECAY_FLOOR,
 ) -> DecayEstimate:
     """Fit the decay rate of one record column over the trailing window."""
-    if column not in RECORD_COLUMNS:
+    if column not in _COLUMN_FIELDS:
         raise DiagnosticsError(f"unknown record column {column!r}")
-    attr = "lam" if column == "lambda" else column
     times = [r.t for r in records]
-    values = [getattr(r, attr) for r in records]
+    values = [getattr(r, _COLUMN_FIELDS[column]) for r in records]
     return fit_decay_rate(times, values, window_frac=window_frac, floor=floor)
 
 
@@ -677,13 +656,8 @@ def write_diagnostics_table(
 
     Header lines carry the run metadata (params, grid, solver config, seed,
     sigma/C4 provenance) as '# key = value' pairs in sorted key order, then
-    the fixed column list.  Full double precision; bit-stable for identical
+    the column list.  Full double precision; bit-stable for identical
     inputs.
     """
-    lines = ["# polarsim diagnostics"]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key} = {meta[key]}")
-    lines.append("# columns = " + " ".join(RECORD_COLUMNS))
-    for rec in records:
-        lines.append(" ".join(FMT % val for val in rec.row()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = tables.format_rows([rec.row() for rec in records])
+    tables.write_table(path, "diagnostics", sorted((meta or {}).items()), RECORD_COLUMNS, rows)

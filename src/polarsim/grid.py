@@ -23,9 +23,9 @@ from .errors import GridMismatchError, ParameterError
 __all__ = [
     "Grid",
     "Field",
-    "apply_laplacian",
     "neumann_eigenvalue",
     "discrete_neumann_eigenvalue",
+    "EIGENVALUE_MODES",
     "second_eigenvalue",
 ]
 
@@ -242,17 +242,6 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-def _require_on(g: Grid, f: Field) -> np.ndarray:
-    if f.grid != g:
-        raise GridMismatchError("field does not live on the supplied grid")
-    return f.values
-
-
-def apply_laplacian(g: Grid, f: Field) -> Field:
-    """Apply the mirror-ghost Neumann Laplacian to a field."""
-    return Field(g, g.laplacian(_require_on(g, f)))
-
-
 def neumann_eigenvalue(g: Grid, j: int) -> float:
     """j-th smallest continuum Neumann eigenvalue of -Laplace on the domain.
 
@@ -304,10 +293,13 @@ def discrete_neumann_eigenvalue(g: Grid, j: int) -> float:
     return float(sums[j - 1])
 
 
+# the eigenvalue flavours a mu2 mode names: the continuum (j pi / L)^2 or the grid's own
+EIGENVALUE_MODES = {"continuum": neumann_eigenvalue, "discrete": discrete_neumann_eigenvalue}
+
+
 def second_eigenvalue(g: Grid, mode: str = "continuum") -> float:
     """Smallest nonzero Neumann eigenvalue, continuum or discrete flavor."""
-    if mode == "continuum":
-        return neumann_eigenvalue(g, 2)
-    if mode == "discrete":
-        return discrete_neumann_eigenvalue(g, 2)
-    raise ParameterError(f"unknown eigenvalue mode {mode!r} (use 'continuum' or 'discrete')")
+    if mode not in EIGENVALUE_MODES:
+        names = " or ".join(map(repr, EIGENVALUE_MODES))
+        raise ParameterError(f"unknown eigenvalue mode {mode!r} (use {names})")
+    return EIGENVALUE_MODES[mode](g, 2)

@@ -28,6 +28,8 @@ the resolved dt, t_end, scheme, stride, retry limit and source, the model
 and the Hill exponent (:func:`batch_key`); the other parameters may differ.
 Each member gets the bits of its own single run: a member whose positivity
 guard fails leaves the batch and redoes that step alone, halving dt there.
+
+Snapshots are tables of :mod:`polarsim.tables`, read back by ``file`` ICs.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .equilibrium import has_homogeneous_equilibrium
-from .errors import ConfigError, ParameterError, PolarsimError, SolverError
+from . import tables
+from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
 from .grid import Field, Grid, _axis_discrete_eigenvalues
 from .kinetics import ModelParams, StackedParams, model_name, reaction_rhs
 
@@ -58,7 +61,6 @@ __all__ = [
 
 SCHEMES = ("imex-be", "imex-cn")
 NEGATIVITY_TRIGGER = 1e-9  # relative to the state scale
-FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,6 @@ class SimState:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    def copy(self) -> "SimState":
-        return SimState(self.t, self.u.copy(), self.v.copy())
 
 
 def transform_w(state: SimState, p: ModelParams) -> Field:
@@ -368,7 +367,6 @@ class _Member:
         self.equilibrium = None
         if has_homogeneous_equilibrium(p):
             from .equilibrium import solve_equilibrium
-            from .errors import EquilibriumError
 
             try:
                 self.equilibrium = solve_equilibrium(p, self.lam0)
@@ -521,60 +519,38 @@ def run(
 
 # -- plain-text snapshots ----------------------------------------------
 
+_GRID_KINDS = ("interval", "rectangle")  # grid spec name by dimension
+
 
 def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict | None = None) -> None:
-    """Write one state as a plain-text table (columns x [y] u v w)."""
+    """Write one state as a table of columns x [y] u v w, one row per node in row-major order."""
     g = state.grid
-    w = transform_w(state, p).values
-    lines = ["# polarsim snapshot"]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key} = {meta[key]}")
-    lines.append(f"# model = {model_name(p)}")
-    lines.append("# t = " + FMT % state.t)
-    if g.dim == 1:
-        lines.append(f"# grid = interval {FMT % g.lengths[0]} {g.counts[0]}")
-        lines.append("# columns = x u v w")
-        coords = g.coords()
-    else:
-        nx, ny = g.counts
-        lines.append(f"# grid = rectangle {FMT % g.lengths[0]} {FMT % g.lengths[1]} {nx} {ny}")
-        lines.append("# columns = x y u v w")
-        xs, ys = g.coords()
-        coords = [np.repeat(xs, ny), np.tile(ys, nx)]
-    # row-major node order; one % over a row template repeated per node
-    table = np.column_stack([*coords, state.u.values.ravel(), state.v.values.ravel(), w.ravel()])
-    row = " ".join([FMT] * table.shape[1])
-    lines.append("\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    spec = " ".join([_GRID_KINDS[g.dim - 1], *map(tables.fmt, g.lengths), *map(str, g.counts)])
+    header = [*sorted((meta or {}).items()), ("model", model_name(p)), ("t", tables.fmt(state.t))]
+    values = (state.u.values, state.v.values, transform_w(state, p).values)
+    table = np.column_stack([c.ravel() for c in (*g.meshgrid(), *values)])
+    columns = ("x", "y")[: g.dim] + ("u", "v", "w")
+    rows = tables.format_rows(table)
+    tables.write_table(path, "snapshot", [*header, ("grid", spec)], columns, rows)
 
 
 def read_snapshot(path: str | Path) -> tuple[float, Grid, np.ndarray, np.ndarray]:
-    """Read back a snapshot written by :func:`write_snapshot`."""
-    t = None
-    g: Grid | None = None
-    data: list[list[float]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ").strip()
-            if body.startswith("t ="):
-                t = float(body.split("=", 1)[1])
-            elif body.startswith("grid ="):
-                parts = body.split("=", 1)[1].split()
-                if parts[0] == "interval":
-                    g = Grid.interval(float(parts[1]), int(parts[2]))
-                elif parts[0] == "rectangle":
-                    g = Grid.rectangle(float(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]))
-                else:
-                    raise ConfigError(f"unknown grid spec in snapshot: {body!r}")
-            continue
-        data.append([float(tok) for tok in line.split()])
-    if t is None or g is None or not data:
+    """Read back a snapshot written by :func:`write_snapshot`; ConfigError names a bad file."""
+    meta, rows = tables.read_table(path)
+    if "t" not in meta or "grid" not in meta or rows.size == 0:
         raise ConfigError(f"snapshot file {path} is missing its header or data")
-    arr = np.asarray(data)
-    ncoord = g.dim
-    u = arr[:, ncoord].reshape(g.shape)
-    v = arr[:, ncoord + 1].reshape(g.shape)
-    return t, g, u, v
+    kind, *nums = meta["grid"].split() or [""]
+    dim = len(nums) // 2
+    try:
+        if kind not in _GRID_KINDS or len(nums) != 2 * (_GRID_KINDS.index(kind) + 1):
+            raise ValueError(f"unknown grid spec {meta['grid']!r}")
+        t = float(meta["t"])
+        g = Grid(tuple(map(float, nums[:dim])), tuple(map(int, nums[dim:])))
+    except (ValueError, ParameterError) as exc:
+        raise ConfigError(f"snapshot file {path} has a bad header: {exc}") from None
+    if rows.shape != (g.n_nodes, dim + 3):
+        raise ConfigError(
+            f"snapshot file {path} has {rows.shape[0]} rows of {rows.shape[1]} values; "
+            f"its grid needs {g.n_nodes} rows of {dim + 3}"
+        )
+    return t, g, rows[:, dim].reshape(g.shape), rows[:, dim + 1].reshape(g.shape)

@@ -306,15 +306,13 @@ def test_09_lyapunov_identities():
 def test_10_discrete_analysis_layer():
     label = "self-adjointness <= 1e-12; Poincare-Wirtinger on 1000 fields; mu2h ratios"
     with criterion(10, label):
-        from polarsim.grid import apply_laplacian
-
         g = Grid.interval(1.7, 33)
         rng = np.random.default_rng(10)
         for _ in range(10):
             f = Field(g, rng.standard_normal(33))
             q = Field(g, rng.standard_normal(33))
-            a = g.inner(apply_laplacian(g, f).values, q.values)
-            b = g.inner(f.values, apply_laplacian(g, q).values)
+            a = g.inner(g.laplacian(f.values), q.values)
+            b = g.inner(f.values, g.laplacian(q.values))
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a) + abs(b))
 
         n = 48

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import polarsim
-from polarsim import Model4Params, solve_equilibrium, solver
+from polarsim import Field, Grid, Model4Params, cli, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from polarsim.linearization import degeneracy_residual
+from polarsim.equilibrium import integrate_homogeneous_ode
+from polarsim.grid import second_eigenvalue
+from polarsim.linearization import degeneracy_residual, scan_degeneracy
 
 QUICK = """\
 [model]
@@ -581,3 +583,285 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# -- the CLI tables against their per-value reference writers ------------
+#
+# Each reference below is the writer the CLI had before its tables went
+# through polarsim.tables; the rewritten writers must keep every byte.
+
+MODEL1 = """\
+[model]
+kind = model1
+D = 0.4
+tau = 1.0
+a = 1.0
+b = 1.0
+k = 1.0
+
+[grid]
+length = 1.0
+n = 17
+
+[solver]
+t_end = 0.05
+dt = 0.01
+stride = 1
+
+[ic]
+kind = expression
+u = 0.6 + 0.2*cos(pi*x/L)
+v = 0.5
+"""
+
+
+P4 = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
+
+
+def ref_fmt(x):
+    return "%.17g" % x
+
+
+def ref_summary_text(config_hash, pairs):
+    lines = ["# polarsim summary", f"# config = {config_hash}"]
+    for key, val in pairs:
+        lines.append(f"{key} = {val}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_condition_lines(reports):
+    lines = ["# columns = name satisfied lhs rhs extras"]
+    for r in reports:
+        extras = [f"mu2={ref_fmt(r.mu2)}", f"mu2_mode={r.mu2_mode}"]
+        if r.C4 is not None:
+            extras.append(f"c4={ref_fmt(r.C4)}")
+        if r.sigma is not None:
+            extras.append(f"sigma={ref_fmt(r.sigma)}")
+            extras.append(f"sigma_source={r.sigma_source}")
+        if r.alt_lhs is not None:
+            extras.append(f"alt_lhs={ref_fmt(r.alt_lhs)}")
+            extras.append(f"alt_satisfied={'yes' if r.alt_satisfied else 'no'}")
+        lines.append(
+            f"{r.name} {'yes' if r.satisfied else 'no'} {ref_fmt(r.lhs)} {ref_fmt(r.rhs)} "
+            + " ".join(extras)
+        )
+    return lines
+
+
+def ref_conditions_text(config_hash, reports):
+    if reports is None:
+        return (
+            "# polarsim conditions\n"
+            f"# config = {config_hash}\n"
+            "# the sufficient conditions are defined for the Hill-kinetics model only\n"
+        )
+    lines = ["# polarsim conditions", f"# config = {config_hash}"] + ref_condition_lines(reports)
+    return "\n".join(lines) + "\n"
+
+
+def ref_sweep_summary_text(param, rows):
+    lines = [
+        "# polarsim sweep summary",
+        f"# param = {param}",
+        "# columns = value status decay_rate u_dev_linf_final",
+    ]
+    for tok, status, rate, dev in rows:
+        lines.append(f"{tok} {status} {ref_fmt(rate)} {ref_fmt(dev)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_ode_stdout(traj, lam, u0):
+    lines = [
+        "# model = model4",
+        f"# lam = {ref_fmt(lam)}  U0 = {ref_fmt(u0)}  dt = {ref_fmt(traj.dt)}",
+        "# columns = t U V G",
+    ]
+    n = len(traj.t)
+    stride = max(1, n // 200)
+    idx = list(range(0, n, stride))
+    if idx[-1] != n - 1:
+        idx.append(n - 1)
+    for i in idx:
+        row = (traj.t[i], traj.U[i], traj.V[i], traj.G[i])
+        lines.append(f"{ref_fmt(row[0])} {ref_fmt(row[1])} {ref_fmt(row[2])} {ref_fmt(row[3])}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_scan_rows(reports):
+    lines = ["# columns = root residual bracket_lo bracket_hi"]
+    for r in reports:
+        lines.append(
+            f"{ref_fmt(r.root)} {ref_fmt(r.residual_at_root)} "
+            f"{ref_fmt(r.bracket[0])} {ref_fmt(r.bracket[1])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def config_of(path):
+    """The config hash from a table's '# config = ...' header."""
+    return read_lines(path)[1].split(" = ", 1)[1]
+
+
+class TestTableBytes:
+    def test_summary(self, tmp_path):
+        pairs = [("model", "model4"), ("lam", ref_fmt(1 / 3)), ("status", "failed: x = y")]
+        cli._write_summary(tmp_path / "summary.txt", {"config": "abc123"}, pairs)
+        assert (tmp_path / "summary.txt").read_text() == ref_summary_text("abc123", pairs)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--sigma", "3.5", "--c4", "0.25", "--mu2", "discrete"]],
+        ids=["derived", "user-sigma"],
+    )
+    def test_simulate_summary_and_model4_conditions(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, QUICK)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flags) == EXIT_OK
+        body = [l.split(" = ", 1) for l in read_lines(out / "summary.txt") if not l.startswith("#")]
+        config = config_of(out / "summary.txt")
+        assert (out / "summary.txt").read_text() == ref_summary_text(config, body)
+
+        lam = float(summary_dict(out / "summary.txt")["lam"])
+        mode = "discrete" if flags else "continuum"
+        mu2 = second_eigenvalue(Grid.interval(1.0, 32), mode)
+        sigma, c4 = (3.5, 0.25) if flags else (None, 1.0)
+        reports = cli._condition_reports(P4, lam, mu2, mode, c4, sigma)
+        assert (out / "conditions.txt").read_text() == ref_conditions_text(config, reports)
+
+    def test_non_hill_conditions(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, MODEL1)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        config = config_of(out / "summary.txt")
+        assert (out / "conditions.txt").read_text() == ref_conditions_text(config, None)
+
+    def test_sweep_summary_with_failed_member(self, tmp_path, capsys):
+        text = HALVING.format(grid="length = 1.0\nn = 16", scheme="imex-be", retry_limit=0)
+        root = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--param", "model.delta"]
+        assert main(argv + ["--values", "1.5,30,0.50", "--out", str(root)]) == EXIT_OK
+        rows = []
+        for tok in ("0.50", "1.5", "30"):
+            summary = summary_dict(root / f"model.delta={tok}" / "summary.txt")
+            rate = float(summary.get("decay_rate_u_dev_linf", "nan").replace("n/a", "nan"))
+            dev = float(summary.get("u_dev_linf_final", "nan"))
+            rows.append((tok, "ok" if summary["status"] == "ok" else "failed", rate, dev))
+        assert rows[2][1] == "failed" and math.isnan(rows[2][2])
+        expected = ref_sweep_summary_text("model.delta", rows)
+        assert (root / "sweep_summary.txt").read_text() == expected
+
+    def test_check_stdout(self, capsys):
+        assert main(["check", "--lam", "1.0", "--sigma", "2"]) == EXIT_OK
+        reports = cli._condition_reports(P4, 1.0, math.pi**2, "continuum", 1.0, 2.0)
+        assert capsys.readouterr().out == "\n".join(ref_condition_lines(reports)) + "\n"
+
+    @pytest.mark.parametrize("t_end, u0", [(50.0, 0.5), (0.1, 0.25)], ids=["strided", "every-step"])
+    def test_ode_stdout(self, capsys, t_end, u0):
+        argv = ["ode", "--lam", "1.0", "--u0", str(u0), "--t-end", str(t_end), "--dt", "0.01"]
+        assert main(argv) == EXIT_OK
+        traj = integrate_homogeneous_ode(P4, 1.0, u0, t_end, 0.01)
+        assert capsys.readouterr().out == ref_ode_stdout(traj, 1.0, u0)
+
+    def test_scan_stdout(self, capsys):
+        flags = ["--k0", "0.05", "--delta", "0.22", "--length", repr(2.0 * math.pi)]
+        assert main(["scan", "--param", "D", "--lo", "0.02", "--hi", "1.0"] + flags) == EXIT_OK
+        out = capsys.readouterr().out.splitlines(keepends=True)
+        p = dataclasses.replace(P4, k0=0.05, delta=0.22)
+        reports = scan_degeneracy(p, 1.0, 2, 0.25, "D", 0.02, 1.0, 200)
+        assert reports
+        assert "".join(out[2:]) == ref_scan_rows(reports)
+
+
+# -- bad input files and output paths exit 2 -------------------------------
+
+FILE_IC = QUICK.replace("n = 32", "n = 8").replace(
+    "kind = perturbation\nlam = 1.0\namplitude = 0.1", "kind = file\npath = {path}"
+)
+
+
+def _snapshot(tmp_path, edit=None):
+    """A valid 8-node snapshot at tmp_path/ic.txt, its lines passed through ``edit``."""
+    g = Grid.interval(1.0, 8)
+    state = solver.SimState(0.0, Field(g, np.full(8, 0.5)), Field(g, np.full(8, 0.25)))
+    path = tmp_path / "ic.txt"
+    solver.write_snapshot(path, state, P4)
+    if edit is not None:
+        path.write_text("\n".join(edit(read_lines(path))) + "\n")
+    return path
+
+
+def _ic_case(make_ic):
+    """A simulate run whose [ic] file is ``make_ic(tmp_path)``, the path the error must name."""
+
+    def case(tmp_path):
+        path = make_ic(tmp_path)
+        cfg = write_cfg(tmp_path, FILE_IC.format(path=path))
+        return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")], path
+
+    return case
+
+
+def _edited(edit):
+    return _ic_case(lambda tmp_path: _snapshot(tmp_path, edit))
+
+
+def _each_row(edit_row):
+    return _edited(lambda lines: [l if l.startswith("#") else edit_row(l) for l in lines])
+
+
+def _drop_last_value(row):
+    return row.rsplit(" ", 1)[0]
+
+
+def _latin1_snapshot(tmp_path):
+    path = _snapshot(tmp_path)
+    path.write_bytes("# r\xe9sum\xe9\n".encode("latin-1") + path.read_bytes())
+    return path
+
+
+def _latin1_scenario(*command):
+    def case(tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_bytes(("; r\xe9sum\xe9\n" + QUICK).encode("latin-1"))
+        return [*command, "--config", str(cfg), "--out", str(tmp_path / "out")], cfg
+
+    return case
+
+
+def _out_is_file(*command):
+    def case(tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        return [*command, "--config", str(write_cfg(tmp_path, QUICK)), "--out", str(out)], out
+
+    return case
+
+
+BAD_INPUTS = {
+    "ic-token": _edited(lambda lines: lines[:-1] + ["0.5 abc 0.25 1.5"]),
+    "ic-short-row": _edited(lambda lines: lines[:-1] + [_drop_last_value(lines[-1])]),
+    "ic-short-rows": _each_row(_drop_last_value),
+    "ic-missing-row": _edited(lambda lines: lines[:-1]),
+    "ic-extra-row": _edited(lambda lines: lines + [lines[-1]]),
+    "ic-grid-count": _edited(lambda lines: [l.replace("interval 1 8", "interval 1 8.5") for l in lines]),
+    "ic-grid-kind": _edited(lambda lines: [l.replace("interval 1 8", "segment 1 8") for l in lines]),
+    "ic-no-rows": _edited(lambda lines: [l for l in lines if l.startswith("#")]),
+    "ic-no-time": _edited(lambda lines: [l for l in lines if not l.startswith("# t =")]),
+    "ic-directory": _ic_case(lambda tmp_path: tmp_path),
+    "ic-not-utf8": _ic_case(_latin1_snapshot),
+    "scenario-not-utf8": _latin1_scenario("simulate"),
+    "sweep-template-not-utf8": _latin1_scenario("sweep", "--param", "model.d", "--values", "4.0"),
+    "simulate-out-is-file": _out_is_file("simulate"),
+    "sweep-out-is-file": _out_is_file("sweep", "--param", "model.d", "--values", "4.0"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    argv, named = BAD_INPUTS[case](tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(named) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.txt").exists()

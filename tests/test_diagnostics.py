@@ -7,6 +7,7 @@ the contraction inequality it was constructed for.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,7 +535,39 @@ class TestPairingAndSup:
             v_norm_sup(times, builder.v_norms, 0.0)
 
 
+def loop_write_diagnostics_table(path, records, meta=None):
+    """The per-value loop writer: the byte-level reference for write_diagnostics_table."""
+    columns = (
+        "t", "lambda", "u_mean", "v_mean", "w_mean", "u_dev_l2", "u_dev_linf",
+        "v_dev_linf", "w_dev_l2", "lyapunov", "identity_residual", "dist_star",
+    )
+    lines = ["# polarsim diagnostics"]
+    for key in sorted(meta or {}):
+        lines.append(f"# {key} = {meta[key]}")
+    lines.append("# columns = " + " ".join(columns))
+    for r in records:
+        row = (
+            r.t, r.lam, r.u_mean, r.v_mean, r.w_mean, r.u_dev_l2, r.u_dev_linf,
+            r.v_dev_linf, r.w_dev_l2, r.lyapunov, r.identity_residual, r.dist_star,
+        )
+        lines.append(" ".join("%.17g" % val for val in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 class TestDiagnosticsWriter:
+    @pytest.mark.parametrize("params", [P1, P4], ids=["model1", "model4"])
+    def test_bytes_equal_loop_writer(self, tmp_path, params):
+        # model 1 leaves NaN residuals at both ends, model 4 NaN energies throughout
+        g, u0, v0 = interval_fields(n=33)
+        res = run((u0, v0), params, SolverConfig(t_end=0.05, dt=1e-3, stride=5))
+        records = list(res.records)
+        records.append(DiagnosticsRecord(*([math.inf, -math.inf, -0.0, 5e-324] * 3)))
+        meta = {"seed": "none", "params": repr(params), "lam": "%.17g" % res.lam0}
+        write_diagnostics_table(tmp_path / "new.txt", records, meta)
+        loop_write_diagnostics_table(tmp_path / "ref.txt", records, meta)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        assert math.isnan(records[0].identity_residual)
+
     def test_table_layout_and_roundtrip(self, tmp_path):
         recs = []
         for i in range(3):

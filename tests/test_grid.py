@@ -16,7 +16,6 @@ from scipy.linalg import eigh
 from polarsim import Field, Grid
 from polarsim.errors import GridMismatchError, ParameterError
 from polarsim.grid import (
-    apply_laplacian,
     discrete_neumann_eigenvalue,
     neumann_eigenvalue,
     second_eigenvalue,
@@ -353,22 +352,12 @@ class TestGridAndFieldValidation:
         with pytest.raises(ParameterError):
             Field(g, np.array([0.0, 1.0, np.nan, 2.0]))
 
-    def test_apply_laplacian_requires_matching_grid(self):
-        g1 = Grid.interval(1.0, 8)
-        g2 = Grid.interval(2.0, 8)
-        f = Field(g2, np.zeros(8))
-        with pytest.raises(GridMismatchError):
-            apply_laplacian(g1, f)
-
-    def test_apply_laplacian_field_roundtrip(self):
+    def test_laplacian_of_sampled_cosine_is_discrete_eigenpair(self):
         g = Grid.interval(1.0, 16)
         x = g.coords()[0]
         f = Field(g, np.cos(np.pi * x))
-        out = apply_laplacian(g, f)
-        assert out.grid is g
-        np.testing.assert_allclose(
-            out.values, g.laplacian(f.values), rtol=0, atol=0
-        )
+        mu2h = discrete_neumann_eigenvalue(g, 2)
+        np.testing.assert_allclose(g.laplacian(f.values), -mu2h * f.values, rtol=0, atol=1e-10)
 
     def test_grid_equality_and_geometry(self):
         g = Grid.rectangle(1.0, 2.0, 5, 9)
