@@ -115,6 +115,20 @@ def _condition_rows(reports: list[diag.ConditionReport]) -> str:
     return "\n".join(lines)
 
 
+def _report(exc: PolarsimError, where: str | None = None) -> int:
+    """Print an error on stderr, prefixed by its kind and ``where``; returns its exit code."""
+    if isinstance(exc, ConfigError):
+        kind, code = "config error", EXIT_CONFIG
+    elif isinstance(exc, ParameterError):
+        kind, code = "parameter error", EXIT_CONFIG
+    else:
+        kind, code = "error", EXIT_RUNTIME
+    if where is not None:
+        kind += f" in {where}"
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code
+
+
 def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -397,7 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             job = _Scenario(scn)
         except PolarsimError as exc:
-            results[tok] = (EXIT_RUNTIME, {"status": f"failed: {exc}"})
+            code = _report(exc, f"sweep member {args.param}={tok}")
+            results[tok] = (code, {"status": f"failed: {exc}"})
             continue
         batches.setdefault(batch_key(scn.grid, scn.params, scn.solver), []).append((tok, job))
     for members in batches.values():
@@ -424,7 +439,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = "\n".join(lines)
     write_table(root / "sweep_summary.txt", "sweep summary", [("param", args.param)], columns, rows)
     print(f"sweep finished: {n_ok}/{len(jobs)} runs succeeded; summary in {root}")
-    return EXIT_OK if n_ok > 0 else EXIT_RUNTIME
+    if n_ok > 0:
+        return EXIT_OK
+    # every member failed; all at set-up on a config or parameter error is a config error
+    return EXIT_CONFIG if all(code == EXIT_CONFIG for code, _ in results.values()) else EXIT_RUNTIME
 
 
 def _override_config_text(text: str, section: str, key: str, value: str) -> str:
@@ -515,15 +533,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PolarsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EquilibriumError, ParameterError
-from .kinetics import Model4Params, ModelParams, a_of_u, f_model4, ode_potential_model4, ode_rhs_model4
+from .kinetics import Model4Params, ModelParams, f_model4, ode_potential_model4
 
 __all__ = [
     "HomogeneousEquilibrium",
@@ -250,17 +250,21 @@ def integrate_homogeneous_ode(
     if dt <= 0 or t_end <= 0:
         raise ParameterError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
     inv_tol = 1e-9 * max(1.0, lam)
+    delta, b, gamma, k0, km, m, tau = p.delta, p.b, p.gamma, p.k0, p.km, p.m, p.tau
 
     def rhs(x: float) -> float:
-        return float(ode_rhs_model4(p, lam, x))
+        """ode_rhs_model4 on a plain float, with its operations in the same order."""
+        if x < 0.0:
+            raise ParameterError("a(u) requires u >= 0")
+        xm = x**m
+        return -delta * x + b * (gamma * (xm / (km + xm)) + k0) * (lam - x) / tau
 
     dt_cur = float(dt)
     for halvings in range(21):
         n = max(1, int(math.ceil(t_end / dt_cur - 1e-12)))
-        U = np.empty(n + 1)
-        U[0] = U0
+        U = [float(U0)]
         ok = True
-        x = float(U0)
+        x = U[0]
         for i in range(n):
             try:
                 k1 = rhs(x)
@@ -276,8 +280,9 @@ def integrate_homogeneous_ode(
             if x < -inv_tol or x > lam + inv_tol:
                 ok = False
                 break
-            U[i + 1] = x
+            U.append(x)
         if ok:
+            U = np.array(U)
             t = dt_cur * np.arange(n + 1)
             G = np.asarray(ode_potential_model4(p, lam, np.clip(U, 0.0, lam)))
             return OdeTrajectory(t=t, U=U, G=G, lam=lam, tau=p.tau, dt=dt_cur, halvings=halvings)

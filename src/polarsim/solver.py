@@ -33,6 +33,7 @@ Snapshots are tables of :mod:`polarsim.tables`, read back by ``file`` ICs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -523,15 +524,28 @@ _GRID_KINDS = ("interval", "rectangle")  # grid spec name by dimension
 
 
 def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict | None = None) -> None:
-    """Write one state as a table of columns x [y] u v w, one row per node in row-major order."""
+    """Write one state as a table of columns x [y] u v w, one row per node in row-major order.
+
+    The header holds the sorted ``meta`` pairs, then ``model`` unless ``meta``
+    has it, ``t`` and the grid spec.
+    """
     g = state.grid
+    meta = meta or {}
     spec = " ".join([_GRID_KINDS[g.dim - 1], *map(tables.fmt, g.lengths), *map(str, g.counts)])
-    header = [*sorted((meta or {}).items()), ("model", model_name(p)), ("t", tables.fmt(state.t))]
+    header = sorted(meta.items())
+    if "model" not in meta:
+        header.append(("model", model_name(p)))
+    # each coordinate is formatted once; its string is repeated down its column
+    coords = []
+    for ax, c in enumerate(g.coords()):
+        inner = math.prod(g.counts[ax + 1 :])
+        column = [s for s in map(tables.fmt, c.tolist()) for _ in range(inner)]
+        coords.append(column * math.prod(g.counts[:ax]))
     values = (state.u.values, state.v.values, transform_w(state, p).values)
-    table = np.column_stack([c.ravel() for c in (*g.meshgrid(), *values)])
+    rows = tables.format_rows(np.column_stack([c.ravel() for c in values]), lead=coords)
     columns = ("x", "y")[: g.dim] + ("u", "v", "w")
-    rows = tables.format_rows(table)
-    tables.write_table(path, "snapshot", [*header, ("grid", spec)], columns, rows)
+    meta_lines = [*header, ("t", tables.fmt(state.t)), ("grid", spec)]
+    tables.write_table(path, "snapshot", meta_lines, columns, rows)
 
 
 def read_snapshot(path: str | Path) -> tuple[float, Grid, np.ndarray, np.ndarray]:

@@ -25,11 +25,20 @@ def fmt(x: float) -> str:
     return FMT % x
 
 
-def format_rows(table) -> str:
-    """Rows of a 2-D numeric table as lines, by one % over a repeated row template."""
+def format_rows(table, lead=()) -> str:
+    """Rows of a 2-D numeric table as lines, by one % over a repeated row template.
+
+    ``lead`` holds already-formatted leading columns, one string per row
+    each, written before the numbers; a value repeated down a column is then
+    formatted once, not once per row.
+    """
     table = np.atleast_2d(np.asarray(table, dtype=float))
-    row = " ".join([FMT] * table.shape[1])
-    return "\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist())
+    columns = [*lead, *table.T.tolist()]
+    row = " ".join(["%s"] * len(lead) + [FMT] * table.shape[1])
+    cells = [None] * (table.shape[0] * len(columns))
+    for j, column in enumerate(columns):  # interleave the columns row by row
+        cells[j :: len(columns)] = column
+    return "\n".join([row] * table.shape[0]) % tuple(cells)
 
 
 def format_table(kind: str | None = None, meta=(), columns=None, body: str = "") -> str:

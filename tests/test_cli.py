@@ -865,3 +865,51 @@ def test_bad_input_exits_2_naming_the_file(tmp_path, capsys, case):
     assert err.startswith("config error: ") and str(named) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+# -- one model line per snapshot; visible sweep set-up failures -------------
+
+
+def test_every_snapshot_has_one_model_line(tmp_path):
+    ok = write_cfg(tmp_path, QUICK + "\n[output]\nsnapshot_every = 2\n", name="ok.cfg")
+    assert main(["simulate", "--config", str(ok), "--out", str(tmp_path / "ok")]) == EXIT_OK
+    failing = write_cfg(tmp_path, BLOW, name="blow.cfg")
+    assert main(["simulate", "--config", str(failing), "--out", str(tmp_path / "blow")]) == EXIT_RUNTIME
+    snaps = sorted(tmp_path.glob("ok/state_*.txt")) + [tmp_path / "ok" / "final_state.txt"]
+    snaps.append(tmp_path / "blow" / "last_state.txt")
+    assert len(snaps) == 5
+    for path in snaps:
+        models = [l for l in read_lines(path) if l.startswith("# model = ")]
+        assert models == ["# model = model4"], path.name
+
+
+def _sweep_rows(root):
+    return [l.split() for l in read_lines(root / "sweep_summary.txt") if not l.startswith("#")]
+
+
+def test_sweep_exits_2_when_every_member_fails_at_set_up(tmp_path, capsys):
+    ic = _snapshot(tmp_path, lambda lines: [l if l.startswith("#") else _drop_last_value(l) for l in lines])
+    cfg = write_cfg(tmp_path, FILE_IC.format(path=ic))
+    root = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", "model.d", "--values", "3,4", "--out", str(root)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    for tok, line in zip(("3", "4"), err):
+        assert line.startswith(f"config error in sweep member model.d={tok}: snapshot file {ic} ")
+        assert "has 8 rows of 3 values" in line
+    assert len(err) == 2
+    assert _sweep_rows(root) == [["3", "failed", "nan", "nan"], ["4", "failed", "nan", "nan"]]
+
+
+def test_sweep_member_set_up_failure_is_printed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FILE_IC.format(path=_snapshot(tmp_path)))
+    root = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", "grid.n", "--values", "8,9", "--out", str(root)]
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("config error in sweep member grid.n=9: [ic] snapshot grid ")
+    assert "grid.n=8" not in err
+    rows = _sweep_rows(root)
+    assert [row[:2] for row in rows] == [["8", "ok"], ["9", "failed"]]
+    assert rows[1][2:] == ["nan", "nan"]
+    assert summary_dict(root / "grid.n=8" / "summary.txt")["status"] == "ok"

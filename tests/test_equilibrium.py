@@ -7,6 +7,7 @@ in-process through ``scipy.optimize.brentq`` so the numbers stay auditable.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from polarsim.equilibrium import (
     integrate_homogeneous_ode,
 )
 from polarsim.errors import EquilibriumError, ParameterError
+from polarsim.kinetics import ode_rhs_model4
 
 STD = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
 
@@ -159,7 +161,48 @@ class TestSolveEquilibrium:
         assert abs(mass_balance(p, lam, eq.u_star)) <= 1e-9 * max(1.0, delta * lam)
 
 
+def reference_ode(p, lam, U0, t_end, dt):
+    """RK4 over ode_rhs_model4 with whole-run restarts at dt/2: the reference integrator."""
+    inv_tol = 1e-9 * max(1.0, lam)
+    for halvings in range(21):
+        U = [U0]
+        for _ in range(max(1, math.ceil(t_end / dt - 1e-12))):
+            x = U[-1]
+            try:
+                k1 = float(ode_rhs_model4(p, lam, x))
+                k2 = float(ode_rhs_model4(p, lam, x + 0.5 * dt * k1))
+                k3 = float(ode_rhs_model4(p, lam, x + 0.5 * dt * k2))
+                k4 = float(ode_rhs_model4(p, lam, x + dt * k3))
+            except ParameterError:  # a stage left u >= 0
+                break
+            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if x < -inv_tol or x > lam + inv_tol:
+                break
+            U.append(x)
+        else:
+            return np.array(U), dt, halvings
+        dt *= 0.5
+    raise AssertionError("reference left [0, lam] after 20 halvings")
+
+
 class TestWellMixedOde:
+    @pytest.mark.parametrize(
+        "p, lam, U0, t_end, dt",
+        [
+            (replace(STD, tau=0.7), 1.0, 0.9, 20.0, 0.1),
+            (replace(STD, tau=0.1, b=5.0), 1.0, 0.05, 0.25, 0.25),  # the one step passes lam: restarts
+            (replace(STD, delta=30.0), 1.0, 0.01, 20.0, 0.5),  # a negative stage: restarts
+            (FROZEN_ROOTS[1][0], 0.5, 0.45, 2.0, 0.02),  # m = 3
+            (replace(STD, m=3.5, gamma=2.0, tau=0.7), 2.0, 1.3, 2.0, 0.05),
+        ],
+        ids=["tau0.7", "leaves-interval", "negative-stage", "m3", "m3.5"],
+    )
+    def test_bits_equal_reference_rk4(self, p, lam, U0, t_end, dt):
+        traj = integrate_homogeneous_ode(p, lam, U0, t_end, dt)
+        U, dt_ref, halvings = reference_ode(p, lam, U0, t_end, dt)
+        assert (traj.dt, traj.halvings) == (dt_ref, halvings)
+        assert np.array_equal(traj.U.view(np.uint64), U.view(np.uint64))
+
     def test_fixed_point_is_stationary(self):
         eq = solve_equilibrium(STD, 1.0)
         traj = integrate_homogeneous_ode(STD, 1.0, eq.u_star, t_end=5.0, dt=0.01)

@@ -670,8 +670,12 @@ class TestSnapshots:
             (Grid.interval(1.5, 33), None),
             (Grid.rectangle(1.0, 2.0, 6, 9), None),
             (Grid.rectangle(0.3, 1.1, 11, 4), {"note": "bytes", "b_key": 2.5}),
+            (Grid.rectangle(0.3, 1.1, 37, 5), None),
+            (Grid.rectangle(0.7, 1.3, 3, 10), None),
+            (Grid.rectangle(2.9, 0.1, 12, 3), {"note": "three"}),
+            (Grid.interval(1.0, 257), None),
         ],
-        ids=["1d", "2d", "2d-meta"],
+        ids=["1d", "2d", "2d-meta", "2d-37x5", "2d-3-rows", "2d-3-cols", "1d-257"],
     )
     def test_bytes_equal_loop_writer(self, tmp_path, g, meta):
         rng = np.random.default_rng(23)

@@ -43,6 +43,15 @@ class TestFormat:
         table[0, :3] = [np.nan, np.inf, -np.inf]
         assert format_rows(table) == loop_format_rows(table)
 
+    def test_leading_columns_come_first_unchanged(self):
+        rng = np.random.default_rng(2)
+        table = wide_values(rng, 3 * 40 - len(EDGE_VALUES)).reshape(-1, 3)
+        xs = [f"x{i % 4}" for i in range(len(table))]
+        ys = ["0.1", "2"] * (len(table) // 2)
+        want = [f"{x} {y} {row}" for x, y, row in zip(xs, ys, loop_format_rows(table).splitlines())]
+        assert format_rows(table, lead=(xs, ys)).splitlines() == want
+        assert format_rows([(1.5,)], lead=(["a"],)) == "a 1.5"
+
     def test_format_rows_single_row_and_empty(self):
         assert format_rows([(1.0, 0.5, 3)]) == "1 0.5 3"
         assert format_rows([]) == ""
