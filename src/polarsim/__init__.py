@@ -95,7 +95,9 @@ from .diagnostics import (
     write_diagnostics_table,
 )
 from .config import (
-    ICSpec,
+    ExpressionIC,
+    FileIC,
+    PerturbationIC,
     ScenarioConfig,
     build_initial_condition,
     compile_expression,
@@ -185,7 +187,9 @@ __all__ = [
     "v_norm_sup",
     "write_diagnostics_table",
     # config
-    "ICSpec",
+    "ExpressionIC",
+    "FileIC",
+    "PerturbationIC",
     "ScenarioConfig",
     "load_scenario",
     "build_initial_condition",

@@ -5,11 +5,11 @@ unambiguous.  Sections and keys are closed sets; an unknown key is an error
 rather than a silent ignore, because a typo in ``delta`` must not quietly
 run a different experiment.
 
-The dataclasses a section builds define its schema.  The ``[model]`` keys
-of a kind are the lowercased field names of its parameter class (a field
-without a default is required), and the ``[solver]`` keys are the fields
-of :class:`SolverConfig`.  A key absent from the file takes its field's
-default, so the defaults live in the dataclasses (and :class:`ICSpec`) only.
+Each section is read into the class that holds it, which is its schema:
+the keys are its lowercased parameter names, a parameter without a default
+is required, and an absent key takes the default.  ``[model]`` and ``[ic]``
+name a ``kind`` that picks the class, and ``[grid]`` is read by the
+:meth:`Grid.interval` or :meth:`Grid.rectangle` signature.
 
 Initial conditions come in three kinds:
 
@@ -27,10 +27,11 @@ import ast
 import configparser
 import functools
 import hashlib
+import inspect
 import math
 import re
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
 from .solver import SolverConfig, read_snapshot
 
 __all__ = [
-    "ICSpec",
+    "ExpressionIC",
+    "FileIC",
+    "PerturbationIC",
     "ScenarioConfig",
     "load_scenario",
     "build_initial_condition",
@@ -51,47 +54,113 @@ __all__ = [
     "config_hash",
 ]
 
-_MODEL_KINDS = {
-    "model1": Model1Params,
-    "model2": Model2Params,
-    "model4": Model4Params,
-    "model4-general-m": Model4Params,  # every field required, m included
-}
-
-
-def _keys(cls) -> set[str]:
-    """Config keys of a dataclass: its lowercased field names."""
-    return {f.name.lower() for f in fields(cls)}
-
-
-_SECTION_KEYS = {
-    "model": {"kind"}.union(*map(_keys, _MODEL_KINDS.values())),
-    "grid": {"length", "n", "lx", "ly", "nx", "ny"},
-    "solver": _keys(SolverConfig),
-    "ic": {"kind", "lam", "amplitude", "mode", "seed", "u", "v", "path"},
-    "diagnostics": {"c4", "sigma", "mu2"},
-    "output": {"dir", "snapshot_every"},
-}
-
-# get_type_hints evaluates the annotation strings, about 0.1 ms per class
-_type_hints = functools.cache(typing.get_type_hints)
-
-_IC_KINDS = ("expression", "file", "perturbation")
 _PERTURBATION_MODES = ("cosine", "random")
 
 
 @dataclass(frozen=True)
-class ICSpec:
-    """Parsed [ic] section; exactly the fields for its kind are set."""
+class ExpressionIC:
+    """``[ic] kind = expression``; with ``lam`` set, u_star and v_star are defined."""
 
-    kind: str
+    u: str
+    v: str
     lam: float | None = None
+
+
+@dataclass(frozen=True)
+class FileIC:
+    """``[ic] kind = file``: a snapshot on the configured grid."""
+
+    path: str
+
+    def __post_init__(self) -> None:
+        if not Path(self.path).exists():
+            raise ParameterError(f"path {self.path!r} does not exist")
+
+
+@dataclass(frozen=True)
+class PerturbationIC:
+    """``[ic] kind = perturbation`` of the equilibrium at mass ``lam``."""
+
+    lam: float
     amplitude: float = 0.1
     mode: str = "cosine"
     seed: int | None = None
-    u_expr: str | None = None
-    v_expr: str | None = None
-    path: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", self.mode.lower())
+        if self.mode not in _PERTURBATION_MODES:
+            raise ParameterError(f"mode must be one of {_PERTURBATION_MODES}, got {self.mode!r}")
+        if self.mode == "random" and self.seed is None:
+            raise ParameterError("mode = random requires a seed")
+        if not (self.lam > 0):
+            raise ParameterError(f"lam must be positive, got {self.lam}")
+
+
+@dataclass(frozen=True)
+class _Diagnostics:
+    """``[diagnostics]``: constants of the sufficient-condition checks."""
+
+    c4: float = DEFAULT_C4
+    sigma: float | None = None  # None: derived from the run
+    mu2: str = "continuum"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu2", self.mu2.lower())
+        if self.mu2 not in EIGENVALUE_MODES:
+            raise ParameterError(f"mu2 must be one of {tuple(EIGENVALUE_MODES)}, got {self.mu2!r}")
+        if not (self.c4 > 0):
+            raise ParameterError(f"c4 must be positive, got {self.c4}")
+        if self.sigma is not None and not (self.sigma > 0):
+            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class _Output:
+    """``[output]``: where a run writes, and a snapshot every k-th record."""
+
+    dir: str = "out"
+    snapshot_every: int = 0
+
+    def __post_init__(self) -> None:
+        if self.snapshot_every < 0:
+            raise ParameterError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+
+
+_MODEL_KINDS = {
+    "model1": Model1Params,
+    "model2": Model2Params,
+    "model4": Model4Params,
+    "model4-general-m": Model4Params,
+}
+_ALL_REQUIRED = {"model4-general-m"}  # kinds whose every key is required, m included
+_IC_KINDS = {"expression": ExpressionIC, "file": FileIC, "perturbation": PerturbationIC}
+_GRID_SHAPES = (Grid.interval, Grid.rectangle)
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple[str, type, bool]]:
+    """``key -> (parameter, type, required)`` of a class or function, on first use.
+
+    Keys are lowercased parameter names; ``T | None`` reads as ``T``.
+    """
+    out = {}
+    for par in inspect.signature(cls, eval_str=True).parameters.values():
+        args = [a for a in typing.get_args(par.annotation) if a is not type(None)]
+        out[par.name.lower()] = (par.name, args[0] if args else par.annotation, par.default is par.empty)
+    return out
+
+
+@functools.cache
+def _section_keys() -> dict[str, set[str]]:
+    """The keys each section accepts: those of every class it can be read into."""
+    return {
+        "model": {"kind"}.union(*map(_schema, _MODEL_KINDS.values())),
+        "grid": set().union(*map(_schema, _GRID_SHAPES)),
+        "solver": set(_schema(SolverConfig)),
+        "ic": {"kind"}.union(*map(_schema, _IC_KINDS.values())),
+        "diagnostics": set(_schema(_Diagnostics)),
+        "output": set(_schema(_Output)),
+    }
 
 
 @dataclass(frozen=True)
@@ -101,7 +170,7 @@ class ScenarioConfig:
     params: ModelParams
     grid: Grid
     solver: SolverConfig
-    ic: ICSpec
+    ic: ExpressionIC | FileIC | PerturbationIC
     c4: float
     sigma: float | None
     mu2_mode: str
@@ -111,51 +180,10 @@ class ScenarioConfig:
 
     @property
     def seed(self) -> int | None:
-        return self.ic.seed
+        return getattr(self.ic, "seed", None)
 
 
-class _Section:
-    """Typed access to one config section with error messages naming keys."""
-
-    def __init__(self, name: str, items: dict[str, str]) -> None:
-        self.name = name
-        self.items = items
-
-    def _raw(self, key: str, required: bool = False) -> str | None:
-        val = self.items.get(key)
-        if val is None or val.strip() == "":
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-            return None
-        return val.strip()
-
-    def string(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        val = self._raw(key, required)
-        return default if val is None else val
-
-    def number(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        val = self._raw(key, required)
-        if val is None:
-            return default
-        try:
-            out = float(val)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {val!r} is not a number") from None
-        if not math.isfinite(out):
-            raise ConfigError(f"[{self.name}] {key} must be finite, got {val!r}")
-        return out
-
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        val = self._raw(key, required)
-        if val is None:
-            return default
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {val!r} is not an integer") from None
-
-
-def _read_sections(path: Path) -> dict[str, _Section]:
+def _read_sections(path: Path) -> dict[str, dict[str, str]]:
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         with open(path) as fh:
@@ -164,118 +192,89 @@ def _read_sections(path: Path) -> dict[str, _Section]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
-    out: dict[str, _Section] = {}
+    section_keys = _section_keys()
+    out: dict[str, dict[str, str]] = {}
     for sec in cp.sections():
-        if sec not in _SECTION_KEYS:
+        if sec not in section_keys:
             raise ConfigError(
-                f"unknown section [{sec}]; expected one of {sorted(_SECTION_KEYS)}"
+                f"unknown section [{sec}]; expected one of {sorted(section_keys)}"
             )
         items = dict(cp.items(sec))
         for key in items:
-            if key not in _SECTION_KEYS[sec]:
+            if key not in section_keys[sec]:
                 raise ConfigError(
-                    f"unknown key '{key}' in [{sec}]; allowed: {sorted(_SECTION_KEYS[sec])}"
+                    f"unknown key '{key}' in [{sec}]; allowed: {sorted(section_keys[sec])}"
                 )
-        out[sec] = _Section(sec, items)
+        out[sec] = items
     for required in ("model", "grid", "solver", "ic"):
         if required not in out:
             raise ConfigError(f"config is missing required section [{required}]")
-    out.setdefault("diagnostics", _Section("diagnostics", {}))
-    out.setdefault("output", _Section("output", {}))
+    out.setdefault("diagnostics", {})
+    out.setdefault("output", {})
     return out
 
 
-def _present_fields(sec: _Section, cls, all_required: bool = False) -> dict:
-    """Keyword arguments for ``cls`` from the keys present in ``sec``.
+def _parse(section: str, key: str, text: str, kind: type):
+    """A raw value read as its parameter's type: str, int, or else a finite float."""
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {text!r} is not an integer") from None
+    try:
+        val = float(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {text!r} is not a number") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"[{section}] {key} must be finite, got {text!r}")
+    return val
 
-    Each value is read by its field's type (int, str, else number); a field
-    without a default (or every field, with ``all_required``) is required.
-    """
-    hints = _type_hints(cls)
-    readers = {int: sec.integer, str: sec.string}
+
+def _build(section: str, items: dict[str, str], cls, all_required: bool = False):
+    """``cls`` called with its schema's keys from ``items``; an empty value is absent."""
     kwargs = {}
-    for f in fields(cls):
-        read = readers.get(hints[f.name], sec.number)
-        val = read(f.name.lower(), required=all_required or f.default is MISSING)
-        if val is not None:
-            kwargs[f.name] = val
-    return kwargs
-
-
-def _build_params(sec: _Section) -> ModelParams:
-    kind = sec.string("kind", required=True).lower()
-    if kind not in _MODEL_KINDS:
-        raise ConfigError(f"[model] kind must be one of {sorted(_MODEL_KINDS)}, got {kind!r}")
-    cls = _MODEL_KINDS[kind]
-    allowed = _keys(cls) | {"kind"}
-    for key in sec.items:
-        if key not in allowed:
-            raise ConfigError(f"key '{key}' in [model] does not belong to kind {kind}")
-    kwargs = _present_fields(sec, cls, all_required=(kind == "model4-general-m"))
+    for key, (name, kind, required) in _schema(cls).items():
+        text = items.get(key, "")
+        if text:
+            kwargs[name] = _parse(section, key, text, kind)
+        elif required or all_required:
+            raise ConfigError(f"[{section}] is missing required key '{key}'")
     try:
         return cls(**kwargs)
     except ParameterError as exc:
-        raise ConfigError(f"[model] {exc}") from None
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _build_grid(sec: _Section) -> Grid:
-    has_1d = sec._raw("length") is not None or sec._raw("n") is not None
-    has_2d = any(sec._raw(k) is not None for k in ("lx", "ly", "nx", "ny"))
-    if has_1d and has_2d:
-        raise ConfigError("[grid] mixes 1-D keys (length, n) with 2-D keys (lx, ly, nx, ny)")
-    try:
-        if has_2d:
-            return Grid.rectangle(
-                sec.number("lx", required=True),
-                sec.number("ly", required=True),
-                sec.integer("nx", required=True),
-                sec.integer("ny", required=True),
-            )
-        return Grid.interval(sec.number("length", required=True), sec.integer("n", required=True))
-    except ParameterError as exc:
-        raise ConfigError(f"[grid] {exc}") from None
+def _build_kind(section: str, items: dict[str, str], kinds: dict):
+    """Read a section whose ``kind`` key picks the class from ``kinds``."""
+    if not items.get("kind"):
+        raise ConfigError(f"[{section}] is missing required key 'kind'")
+    kind = items["kind"].lower()
+    if kind not in kinds:
+        raise ConfigError(f"[{section}] kind must be one of {sorted(kinds)}, got {kind!r}")
+    cls = kinds[kind]
+    for key in items:
+        if key != "kind" and key not in _schema(cls):
+            raise ConfigError(f"key '{key}' in [{section}] does not belong to kind {kind}")
+    return _build(section, items, cls, all_required=kind in _ALL_REQUIRED)
 
 
-def _build_solver(sec: _Section) -> SolverConfig:
-    return SolverConfig(**_present_fields(sec, SolverConfig))
+def _grid_shape(items: dict[str, str]):
+    """Grid.interval or Grid.rectangle: the one whose keys ``[grid]`` sets."""
+    shapes = [f for f in _GRID_SHAPES if any(items.get(key) for key in _schema(f))]
+    if len(shapes) > 1:
+        one, two = (", ".join(_schema(f)) for f in _GRID_SHAPES)
+        raise ConfigError(f"[grid] mixes 1-D keys ({one}) with 2-D keys ({two})")
+    return shapes[0] if shapes else Grid.interval
 
 
-def _build_ic(sec: _Section, params: ModelParams) -> ICSpec:
-    kind = sec.string("kind", required=True).lower()
-    if kind not in _IC_KINDS:
-        raise ConfigError(f"[ic] kind must be one of {_IC_KINDS}, got {kind!r}")
-    if kind == "expression":
-        return ICSpec(
-            kind=kind,
-            lam=sec.number("lam", default=None),
-            u_expr=sec.string("u", required=True),
-            v_expr=sec.string("v", required=True),
-        )
-    if kind == "file":
-        path = sec.string("path", required=True)
-        if not Path(path).exists():
-            raise ConfigError(f"[ic] path {path!r} does not exist")
-        return ICSpec(kind=kind, path=path)
-    if not isinstance(params, Model4Params):
-        raise ConfigError("[ic] kind = perturbation requires the model4 kinetics")
-    mode = sec.string("mode", default=ICSpec.mode).lower()
-    if mode not in _PERTURBATION_MODES:
-        raise ConfigError(f"[ic] mode must be one of {_PERTURBATION_MODES}, got {mode!r}")
-    seed = sec.integer("seed", default=None)
-    if mode == "random" and seed is None:
-        raise ConfigError("[ic] mode = random requires a seed")
-    lam = sec.number("lam", required=True)
-    if not (lam > 0):
-        raise ConfigError(f"[ic] lam must be positive, got {lam}")
-    amplitude = sec.number("amplitude", default=ICSpec.amplitude)
-    return ICSpec(kind=kind, lam=lam, amplitude=amplitude, mode=mode, seed=seed)
-
-
-def _canonical_dump(secs: dict[str, _Section], overrides: dict[str, str]) -> str:
+def _canonical_dump(secs: dict[str, dict[str, str]], overrides: dict[str, str]) -> str:
     parts = []
     for name in sorted(secs):
-        for key in sorted(secs[name].items):
-            parts.append(f"{name}.{key}={secs[name].items[key].strip()}")
+        for key in sorted(secs[name]):
+            parts.append(f"{name}.{key}={secs[name][key].strip()}")
     for key in sorted(overrides):
         parts.append(f"override.{key}={overrides[key]}")
     return "\n".join(parts)
@@ -297,37 +296,17 @@ def load_scenario(
 
     The config hash covers the file's effective keys plus the applied
     overrides, so any change that could alter the run changes the hash.
+    An override replaces the file's raw value before it is read, so a
+    value it replaces is never checked.
     """
     path = Path(path)
     secs = _read_sections(path)
-    params = _build_params(secs["model"])
-    grid = _build_grid(secs["grid"])
-    solver = _build_solver(secs["solver"])
-    ic = _build_ic(secs["ic"], params)
-    diag = secs["diagnostics"]
-    outsec = secs["output"]
-
-    c4_val = c4 if c4 is not None else diag.number("c4", default=DEFAULT_C4)
-    sigma_val = sigma if sigma is not None else diag.number("sigma", default=None)
-    mu2_mode = (mu2 if mu2 is not None else diag.string("mu2", default="continuum")).lower()
-    if mu2_mode not in EIGENVALUE_MODES:
-        raise ConfigError(
-            f"[diagnostics] mu2 must be one of {tuple(EIGENVALUE_MODES)}, got {mu2_mode!r}"
-        )
-    if not (c4_val > 0):
-        raise ConfigError(f"[diagnostics] c4 must be positive, got {c4_val}")
-    if sigma_val is not None and not (sigma_val > 0):
-        raise ConfigError(f"[diagnostics] sigma must be positive, got {sigma_val}")
-
-    if seed is not None:
-        if ic.kind != "perturbation" or ic.mode != "random":
-            raise ConfigError("--seed only applies to random-perturbation initial conditions")
-        ic = replace(ic, seed=seed)
-
-    out_dir = Path(out) if out is not None else Path(outsec.string("dir", default="out"))
-    snapshot_every = outsec.integer("snapshot_every", default=0)
-    if snapshot_every < 0:
-        raise ConfigError(f"[output] snapshot_every must be >= 0, got {snapshot_every}")
+    params = _build_kind("model", secs["model"], _MODEL_KINDS)
+    grid = _build("grid", secs["grid"], _grid_shape(secs["grid"]))
+    solver = _build("solver", secs["solver"], SolverConfig)
+    ic = _build_kind("ic", secs["ic"], _IC_KINDS)
+    if isinstance(ic, PerturbationIC) and not isinstance(params, Model4Params):
+        raise ConfigError("[ic] kind = perturbation requires the model4 kinetics")
 
     overrides: dict[str, str] = {}
     if out is not None:
@@ -339,20 +318,28 @@ def load_scenario(
     if sigma is not None:
         overrides["sigma"] = repr(float(sigma))
     if mu2 is not None:
-        overrides["mu2"] = mu2_mode
-    digest = config_hash(_canonical_dump(secs, overrides))
+        overrides["mu2"] = mu2.lower()
+    diag_items = {key: overrides[key] for key in ("c4", "sigma", "mu2") if key in overrides}
+    diag = _build("diagnostics", secs["diagnostics"] | diag_items, _Diagnostics)
+
+    if seed is not None:
+        if not (isinstance(ic, PerturbationIC) and ic.mode == "random"):
+            raise ConfigError("--seed only applies to random-perturbation initial conditions")
+        ic = replace(ic, seed=seed)
+
+    output = _build("output", secs["output"], _Output)
 
     return ScenarioConfig(
         params=params,
         grid=grid,
         solver=solver,
         ic=ic,
-        c4=c4_val,
-        sigma=sigma_val,
-        mu2_mode=mu2_mode,
-        out_dir=out_dir,
-        snapshot_every=snapshot_every,
-        config_hash=digest,
+        c4=diag.c4,
+        sigma=diag.sigma,
+        mu2_mode=diag.mu2,
+        out_dir=Path(out if out is not None else output.dir),
+        snapshot_every=output.snapshot_every,
+        config_hash=config_hash(_canonical_dump(secs, overrides)),
     )
 
 
@@ -456,7 +443,7 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
     """Materialize the IC spec on the scenario grid, validating nonnegativity."""
     g = scn.grid
     ic = scn.ic
-    if ic.kind == "file":
+    if isinstance(ic, FileIC):
         _, file_grid, u, v = read_snapshot(ic.path)
         if file_grid != g:
             raise ConfigError(
@@ -464,10 +451,10 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
                 f"match configured grid {g.lengths}/{g.counts}"
             )
         return Field(g, u), Field(g, v)
-    if ic.kind == "expression":
+    if isinstance(ic, ExpressionIC):
         env, names = _expression_env(scn)
         fields = []
-        for label, text in (("u", ic.u_expr), ("v", ic.v_expr)):
+        for label, text in (("u", ic.u), ("v", ic.v)):
             fn = compile_expression(text, names)
             try:
                 raw = fn(env)

@@ -26,7 +26,7 @@ import numpy as np
 from . import tables
 from .equilibrium import has_homogeneous_equilibrium
 from .errors import DiagnosticsError, ParameterError
-from .grid import Field, Grid
+from .grid import Field, Grid, SimState, transform_z
 from .kinetics import (
     Model1Params,
     Model2Params,
@@ -36,7 +36,6 @@ from .kinetics import (
     drift_primitive_model1,
     drift_primitive_model2,
 )
-from .solver import SimState, transform_z
 
 __all__ = [
     "RECORD_COLUMNS",

@@ -9,20 +9,32 @@ which makes the discrete Poincare-Wirtinger inequality
 
 hold exactly (mu_2^h is the smallest nonzero eigenvalue of the discrete
 operator, (2/h^2)(1 - cos(pi h / L)) per axis).
+
+One code path serves 1-D and 2-D: per-axis pieces are combined by outer
+products and sums over the axes.  :class:`SimState` holds the pair (u, v)
+on one grid at one time.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 
+if TYPE_CHECKING:
+    from .kinetics import ModelParams
+
 __all__ = [
     "Grid",
     "Field",
+    "SimState",
+    "transform_w",
+    "transform_z",
     "neumann_eigenvalue",
     "discrete_neumann_eigenvalue",
     "EIGENVALUE_MODES",
@@ -127,10 +139,7 @@ class Grid:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        axis_w = self._axis_weights
-        if self.dim == 1:
-            return axis_w[0]
-        w = np.outer(axis_w[0], axis_w[1])
+        w = reduce(np.multiply.outer, self._axis_weights)
         w.setflags(write=False)
         return w
 
@@ -147,10 +156,7 @@ class Grid:
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Mirror-ghost Neumann Laplacian applied to a value array."""
         a = self._check_values(values)
-        out = _second_difference(a, self.spacings[0], axis=0)
-        if self.dim == 2:
-            out += _second_difference(a, self.spacings[1], axis=1)
-        return out
+        return reduce(np.add, (_second_difference(a, h, ax) for ax, h in enumerate(self.spacings)))
 
     def integral(self, values: np.ndarray) -> float:
         """Trapezoid-rule integral over the domain (not normalized)."""
@@ -242,6 +248,33 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
+@dataclass
+class SimState:
+    """Time level with both species on a shared grid."""
+
+    t: float
+    u: Field
+    v: Field
+
+    def __post_init__(self) -> None:
+        if self.u.grid != self.v.grid:
+            raise ParameterError("u and v must live on the same grid")
+
+    @property
+    def grid(self) -> Grid:
+        return self.u.grid
+
+
+def transform_w(state: SimState, p: ModelParams) -> Field:
+    """Diffusion-weighted combination w = D u + v."""
+    return Field(state.grid, p.D * state.u.values + state.v.values)
+
+
+def transform_z(state: SimState) -> Field:
+    """Total local density z = u + v (model-2 working variable)."""
+    return Field(state.grid, state.u.values + state.v.values)
+
+
 def neumann_eigenvalue(g: Grid, j: int) -> float:
     """j-th smallest continuum Neumann eigenvalue of -Laplace on the domain.
 
@@ -251,14 +284,10 @@ def neumann_eigenvalue(g: Grid, j: int) -> float:
     """
     if j < 1:
         raise ParameterError(f"eigenvalue index must be >= 1, got {j}")
-    if g.dim == 1:
-        return ((j - 1) * math.pi / g.lengths[0]) ** 2
-    # The j smallest sums only ever involve p, q <= j.
-    lx, ly = g.lengths
+    # The j smallest sums only ever involve indices <= j.
     vals = sorted(
-        (p * math.pi / lx) ** 2 + (q * math.pi / ly) ** 2
-        for p in range(j + 1)
-        for q in range(j + 1)
+        sum((p * math.pi / L) ** 2 for p, L in zip(ps, g.lengths))
+        for ps in itertools.product(range(j + 1), repeat=g.dim)
     )
     return vals[j - 1]
 
@@ -279,13 +308,7 @@ def discrete_neumann_eigenvalue(g: Grid, j: int) -> float:
     if j < 1:
         raise ParameterError(f"eigenvalue index must be >= 1, got {j}")
     per_axis = [_axis_discrete_eigenvalues(L, n) for L, n in zip(g.lengths, g.counts)]
-    if g.dim == 1:
-        if j > g.counts[0]:
-            raise ParameterError(
-                f"discrete spectrum has only {g.counts[0]} eigenvalues, asked for {j}"
-            )
-        return float(np.sort(per_axis[0])[j - 1])
-    sums = np.sort(np.add.outer(per_axis[0], per_axis[1]).ravel())
+    sums = np.sort(reduce(np.add.outer, per_axis).ravel())
     if j > sums.size:
         raise ParameterError(
             f"discrete spectrum has only {sums.size} eigenvalues, asked for {j}"

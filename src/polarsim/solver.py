@@ -40,10 +40,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import diagnostics, tables
 from .equilibrium import has_homogeneous_equilibrium
-from . import tables
 from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
-from .grid import Field, Grid, _axis_discrete_eigenvalues
+from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w, transform_z
 from .kinetics import ModelParams, StackedParams, model_name, reaction_rhs
 
 __all__ = [
@@ -90,33 +90,6 @@ class SolverConfig:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.retry_limit < 0:
             raise ConfigError(f"retry_limit must be >= 0, got {self.retry_limit}")
-
-
-@dataclass
-class SimState:
-    """Time level with both species on a shared grid."""
-
-    t: float
-    u: Field
-    v: Field
-
-    def __post_init__(self) -> None:
-        if self.u.grid != self.v.grid:
-            raise ParameterError("u and v must live on the same grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-
-def transform_w(state: SimState, p: ModelParams) -> Field:
-    """Diffusion-weighted combination w = D u + v."""
-    return Field(state.grid, p.D * state.u.values + state.v.values)
-
-
-def transform_z(state: SimState) -> Field:
-    """Total local density z = u + v (model-2 working variable)."""
-    return Field(state.grid, state.u.values + state.v.values)
 
 
 def default_dt(g: Grid, p: ModelParams) -> float:
@@ -344,8 +317,6 @@ class _Member:
         cfg: SolverConfig,
         on_record: Callable[[SimState, object], None] | None,
     ) -> None:
-        from . import diagnostics  # local import: diagnostics imports this module
-
         u0, v0 = ic
         g = u0.grid
         if v0.grid != g:
@@ -398,8 +369,6 @@ class _Member:
         self.outcome = exc
 
     def finish(self, x: np.ndarray) -> None:
-        from . import diagnostics
-
         b = self.builder
         if len(self.records) >= 3:
             diagnostics.attach_identity_residuals(self.records, b.dissipation, self.p)

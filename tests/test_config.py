@@ -11,7 +11,7 @@ import pytest
 
 from polarsim import Grid, Model1Params, Model2Params, Model4Params, config, solve_equilibrium
 from polarsim.config import (
-    ICSpec,
+    PerturbationIC,
     build_initial_condition,
     compile_expression,
     load_scenario,
@@ -61,7 +61,7 @@ class TestScenarioParsing:
         assert scn.grid == Grid.interval(1.0, 64)
         assert scn.solver.t_end == 1.0 and scn.solver.dt == 0.002
         assert scn.solver.scheme == "imex-be"
-        assert scn.ic.kind == "perturbation" and scn.ic.lam == 1.0
+        assert isinstance(scn.ic, PerturbationIC) and scn.ic.lam == 1.0
         assert scn.c4 == 1.0
         assert scn.sigma is None
         assert scn.mu2_mode == "continuum"
@@ -120,7 +120,7 @@ v = 0.7
 """
         scn = load_scenario(write_cfg(tmp_path, text))
         assert isinstance(scn.params, Model1Params)
-        assert scn.ic.u_expr.startswith("0.5")
+        assert scn.ic.u.startswith("0.5")
 
     def test_2d_grid_parse(self, tmp_path):
         text = BASE.replace("length = 1.0\nn = 64", "lx = 1.0\nly = 2.0\nnx = 8\nny = 12")
@@ -172,6 +172,19 @@ lam = 1.0
         )
         with pytest.raises(ConfigError, match="does not exist"):
             load_scenario(write_cfg(tmp_path, text))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_scenario_loads(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    scn = load_scenario(write_cfg(tmp_path, block))
+    assert scn.params == Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
+    assert scn.grid == Grid.interval(1.0, 256)
+    assert scn.solver == SolverConfig(t_end=200.0, dt=0.002, scheme="imex-cn", stride=250)
+    assert scn.ic == PerturbationIC(lam=1.0, mode="cosine", amplitude=0.1)
+    assert (scn.c4, scn.mu2_mode, scn.out_dir, scn.snapshot_every) == (1.0, "continuum", Path("out/my_run"), 0)
 
 
 class TestOverridesAndHash:
@@ -404,6 +417,23 @@ def model_text(kind, body):
     return f"[model]\nkind = {kind}\n{body}{EXPRESSION_REST}"
 
 
+# One [ic] section per kind, with every key the kind accepts.
+IC_SECTIONS = {
+    "expression": "kind = expression\nu = 0.5\nv = 0.7\nlam = 1.0\n",
+    "file": f"kind = file\npath = {Path(__file__).resolve()}\n",
+    "perturbation": "kind = perturbation\nlam = 1.0\namplitude = 0.1\nmode = random\nseed = 3\n",
+}
+IC_KEYS = {
+    "expression": {"kind", "u", "v", "lam"},
+    "file": {"kind", "path"},
+    "perturbation": {"kind", "lam", "amplitude", "mode", "seed"},
+}
+
+
+def ic_text(body):
+    return BASE[: BASE.index("[ic]")] + "[ic]\n" + body
+
+
 class TestDerivedSchema:
     """The section schemas come from the dataclasses; these pin what they accept."""
 
@@ -449,8 +479,57 @@ class TestDerivedSchema:
             with pytest.raises(ConfigError, match=f"key '{key}' in \\[model\\] does not belong"):
                 load_scenario(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("kind", sorted(IC_KEYS))
+    def test_ic_keys_of_other_kinds_rejected(self, tmp_path, kind):
+        load_scenario(write_cfg(tmp_path, ic_text(IC_SECTIONS[kind])))
+        foreign = sorted(SECTION_KEYS["ic"] - IC_KEYS[kind])
+        assert foreign
+        for key in foreign:
+            text = ic_text(IC_SECTIONS[kind] + f"{key} = 1.0\n")
+            with pytest.raises(ConfigError, match=f"^key '{key}' in \\[ic\\] does not belong to kind {kind}$"):
+                load_scenario(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "body", ["length = 1.0\nn = 64\n", "lx = 1.0\nly = 2.0\nnx = 8\nny = 12\n"], ids=["1d", "2d"]
+    )
+    def test_grid_keys_come_from_the_grid_constructors(self, tmp_path, body):
+        def grid_text(grid_body):
+            return BASE.replace("length = 1.0\nn = 64\n", grid_body)
+
+        load_scenario(write_cfg(tmp_path, grid_text(body)))
+        for line in body.splitlines():
+            key = line.split(" = ")[0]
+            with pytest.raises(ConfigError, match=rf"^\[grid\] is missing required key '{key}'$"):
+                load_scenario(write_cfg(tmp_path, grid_text(body.replace(line + "\n", ""))))
+            if key.startswith("n"):
+                with pytest.raises(ConfigError, match=rf"^\[grid\] {key} = '2.5' is not an integer$"):
+                    load_scenario(write_cfg(tmp_path, grid_text(body.replace(line, f"{key} = 2.5"))))
+        mixed = grid_text(body + ("nx = 8\n" if "length" in body else "n = 64\n"))
+        with pytest.raises(
+            ConfigError, match=re.escape("[grid] mixes 1-D keys (length, n) with 2-D keys (lx, ly, nx, ny)")
+        ):
+            load_scenario(write_cfg(tmp_path, mixed))
+
+    def test_diagnostics_and_output_defaults_come_from_their_classes(self, tmp_path):
+        scn = load_scenario(write_cfg(tmp_path, BASE))
+        diag, out = config._Diagnostics(), config._Output()
+        assert (scn.c4, scn.sigma, scn.mu2_mode) == (diag.c4, diag.sigma, diag.mu2) == (1.0, None, "continuum")
+        assert (scn.out_dir, scn.snapshot_every) == (Path(out.dir), out.snapshot_every) == (Path("out"), 0)
+
+    def test_overrides_mask_the_file_values_and_pass_the_same_checks(self, tmp_path):
+        bad = write_cfg(tmp_path, BASE + "\n[diagnostics]\nc4 = abc\nsigma = -1\nmu2 = exact\n")
+        with pytest.raises(ConfigError, match=r"^\[diagnostics\] c4 = 'abc' is not a number$"):
+            load_scenario(bad)
+        scn = load_scenario(bad, c4=2.0, sigma=3.0, mu2="DISCRETE")
+        assert (scn.c4, scn.sigma, scn.mu2_mode) == (2.0, 3.0, "discrete")
+        with pytest.raises(ConfigError, match=r"^\[diagnostics\] c4 must be positive, got -2.0$"):
+            load_scenario(bad, c4=-2.0, sigma=3.0, mu2="discrete")
+        path = write_cfg(tmp_path, BASE + "\n[output]\ndir = a\nsnapshot_every = -1\n", name="out.cfg")
+        with pytest.raises(ConfigError, match=r"^\[output\] snapshot_every must be >= 0, got -1$"):
+            load_scenario(path, out=str(tmp_path))
+
     def test_section_key_sets(self, tmp_path):
-        assert config._SECTION_KEYS == SECTION_KEYS
+        assert config._section_keys() == SECTION_KEYS
         for sec in ("solver", "ic"):
             bad = BASE.replace(f"[{sec}]\n", f"[{sec}]\nzeta = 1\n")
             with pytest.raises(ConfigError, match=re.escape(f"allowed: {sorted(SECTION_KEYS[sec])}")):
@@ -472,12 +551,12 @@ class TestDerivedSchema:
 
     def test_perturbation_defaults_come_from_ic_spec(self, tmp_path):
         text = BASE.replace("amplitude = 0.1\n", "")
-        assert load_scenario(write_cfg(tmp_path, text)).ic == ICSpec(kind="perturbation", lam=1.0)
+        assert load_scenario(write_cfg(tmp_path, text)).ic == PerturbationIC(lam=1.0)
 
     def test_seed_override_changes_only_the_seed(self, tmp_path):
         rnd = BASE.replace("amplitude = 0.1", "amplitude = 0.05\nmode = random\nseed = 1")
         path = write_cfg(tmp_path, rnd)
         base, seeded = load_scenario(path), load_scenario(path, seed=99)
-        assert seeded.ic == ICSpec(kind="perturbation", lam=1.0, amplitude=0.05, mode="random", seed=99)
+        assert seeded.ic == PerturbationIC(lam=1.0, amplitude=0.05, mode="random", seed=99)
         assert replace(base, ic=seeded.ic, config_hash=seeded.config_hash) == seeded
         assert base.config_hash != seeded.config_hash

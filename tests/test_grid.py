@@ -382,3 +382,42 @@ class TestGridAndFieldValidation:
             h, n = g.spacings[0], g.counts[0]
             want = np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
             assert np.array_equal(g.axis_weights()[0], want)
+
+
+@pytest.mark.parametrize("n", [3, 64, 257])
+class TestOneDimensionalClosedForms:
+    """The 1-D grid goes through the same code as 2-D and must give the
+    closed 1-D forms bit for bit."""
+
+    LENGTH = 1.3
+
+    def test_weights_are_the_axis_weights(self, n):
+        g = Grid.interval(self.LENGTH, n)
+        h = self.LENGTH / (n - 1)
+        want = np.full(n, h)
+        want[0] = want[-1] = 0.5 * h
+        assert np.array_equal(g.weights(), want)
+        assert g.weights().shape == (n,)
+
+    def test_laplacian_is_the_second_difference(self, n):
+        g = Grid.interval(self.LENGTH, n)
+        h = self.LENGTH / (n - 1)
+        a = np.random.default_rng(n).standard_normal(n)
+        want = np.empty(n)
+        want[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
+        want[0] = 2.0 * (a[1] - a[0])
+        want[-1] = 2.0 * (a[-2] - a[-1])
+        assert np.array_equal(g.laplacian(a), want / (h * h))
+
+    def test_continuum_eigenvalues(self, n):
+        g = Grid.interval(self.LENGTH, n)
+        for j in range(1, n + 1):
+            assert neumann_eigenvalue(g, j) == ((j - 1) * math.pi / self.LENGTH) ** 2
+
+    def test_discrete_eigenvalues(self, n):
+        g = Grid.interval(self.LENGTH, n)
+        h = self.LENGTH / (n - 1)
+        want = np.sort((2.0 / (h * h)) * (1.0 - np.cos(np.pi * np.arange(n) * h / self.LENGTH)))
+        assert [discrete_neumann_eigenvalue(g, j) for j in range(1, n + 1)] == list(want)
+        with pytest.raises(ParameterError, match=f"only {n} eigenvalues"):
+            discrete_neumann_eigenvalue(g, n + 1)
