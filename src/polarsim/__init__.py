@@ -54,10 +54,10 @@ from .equilibrium import (
 from .linearization import (
     DegeneracyReport,
     ModeEigenpair,
-    constant_a_mode_matrix,
     degeneracy_residual,
     linearized_operator_matrix,
     mode_eigenpair,
+    mode_matrix,
     scan_degeneracy,
 )
 from .solver import (
@@ -149,7 +149,7 @@ __all__ = [
     # linearization
     "ModeEigenpair",
     "DegeneracyReport",
-    "constant_a_mode_matrix",
+    "mode_matrix",
     "mode_eigenpair",
     "degeneracy_residual",
     "scan_degeneracy",

@@ -1,7 +1,8 @@
 """Command-line entry points: simulate, equilibrium, ode, check, scan, sweep.
 
 Exit codes are a stable contract: 0 on success, 2 for configuration or
-usage errors, 3 for runtime failures (solver breakdown, failed invariant).
+usage errors, 3 for runtime failures (solver breakdown, failed invariant,
+a stdout closed before the output was delivered).
 Every output file starts with provenance headers including the config hash;
 reruns with identical inputs produce bit-identical files (no timestamps,
 fixed float formatting).  Files and printed tables are laid out by
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -384,6 +386,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base_text = template.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {template}: {exc}") from None
+    if args.out is not None and not args.out.strip():
+        raise ConfigError("--out must name a directory, got an empty value")
     root = Path(args.out) if args.out is not None else Path("sweep_out")
     _make_dir(root)
 
@@ -532,9 +536,18 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PolarsimError as exc:
         return _report(exc)
+    except BrokenPipeError:
+        # the reader closed stdout: the output was not delivered; point stdout
+        # at the null device so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -310,6 +310,8 @@ def load_scenario(
 
     overrides: dict[str, str] = {}
     if out is not None:
+        if not str(out).strip():
+            raise ConfigError("--out must name a directory, got an empty value")
         overrides["out"] = str(out)
     if seed is not None:
         overrides["seed"] = str(seed)

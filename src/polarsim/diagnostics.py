@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from . import tables
-from .equilibrium import has_homogeneous_equilibrium
 from .errors import DiagnosticsError, ParameterError
 from .grid import Field, Grid, SimState, transform_z
 from .kinetics import (
@@ -567,8 +566,10 @@ def omega_limit_check(
 
     Raises DiagnosticsError when |mean(u) + tau mean(v) - lam| > tol*lam —
     on a completed run that indicates broken conservation, not slow mixing.
-    Distances to the homogeneous equilibrium are reported, not asserted:
-    outside the convergent regime the limit set may contain other states.
+    Distances to the given homogeneous equilibrium are reported, not
+    asserted: outside the convergent regime the limit set may contain other
+    states.  Without an equilibrium (none exists, or it is not unique) the
+    distances are NaN.
     """
     g = state.grid
     um = g.mean(state.u.values)
@@ -581,10 +582,6 @@ def omega_limit_check(
             f"mean state left the conserved-mass line: |u_mean + tau v_mean - lam| = "
             f"{mass_gap:.3e} > {tol:g} * {lam:g}"
         )
-    if equilibrium is None and has_homogeneous_equilibrium(p):
-        from .equilibrium import solve_equilibrium
-
-        equilibrium = solve_equilibrium(p, lam)
     if equilibrium is not None:
         u_gap = abs(um - equilibrium.u_star)
         v_gap = abs(vm - equilibrium.v_star)

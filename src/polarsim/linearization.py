@@ -1,18 +1,19 @@
-"""Linear stability machinery: per-mode matrices and degeneracy scans.
+"""Linear stability machinery: one mode matrix, its readings, degeneracy scans.
 
-With constant activation a the system linearized about a homogeneous state
-decouples over Neumann modes; each mode with eigenvalue mu of -Laplace feels
-the 2x2 matrix
+Linearized about a homogeneous state, u_t = D lap u + f(u, v) and
+tau v_t = lap v - f(u, v) decouple over Neumann modes; the mode with
+eigenvalue mu of -Laplace feels the 2x2 matrix
 
-    M(mu) = [[-D mu - delta,  a], [delta/tau,  -(mu + a)/tau]],
+    M(mu) = [[-D mu + fu,  fv], [-fu/tau,  -(mu + fv)/tau]],
 
-whose determinant mu (D mu + D a + delta) / tau is nonnegative and whose
-discriminant (tr^2 - 4 det) equals (D mu + delta - (mu+a)/tau)^2 + 4 a delta
-/ tau > 0, so the eigenvalues are always real with a single zero at mu = 0.
-
-For the full Hill activation, degeneracy of the linearized nonlocal operator
-at the equilibrium is characterized mode by mode by a scalar residual; a zero
-residual flags a candidate bifurcation point.
+where (fu, fv) is the Jacobian of f at the state, for every kinetics:
+constant activation a is fu = -delta, fv = a, Hill is fu = v* a'(u*) - delta,
+fv = a(u*).  Since det M(mu) = mu (D mu + D fv - fu) / tau, M(0) has the
+eigenvalue 0 (the mass direction) and tr M(0) = fu - fv/tau, the slope of the
+well-mixed reduction.  With constant activation the spectrum is real; Hill
+feedback (fu > 0) can make it complex.  The degeneracy residual at the
+equilibrium reads M: tau det M(mu)/mu on a mean-free mode, -tr M(0) on the
+constant mode.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .kinetics import Model4Params, a_of_u, a_prime
 
 __all__ = [
     "ModeEigenpair",
-    "constant_a_mode_matrix",
+    "mode_matrix",
     "mode_eigenpair",
     "degeneracy_residual",
     "DegeneracyReport",
@@ -43,29 +44,31 @@ NEUTRAL_TOL = 1e-12
 SCAN_REFINE_REL = 1e-8
 
 
-def constant_a_mode_matrix(
-    a: float, D: float, tau: float, delta: float, mu: float
+def _trace_det(M: np.ndarray) -> tuple[float, float]:
+    return float(M[0, 0] + M[1, 1]), float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+
+
+def mode_matrix(
+    fu: float, fv: float, D: float, tau: float, mu: float
 ) -> tuple[np.ndarray, tuple[complex, complex]]:
-    """Mode matrix and its eigenvalues for constant activation.
+    """Mode matrix M(mu) of the Jacobian (fu, fv) and its eigenvalues.
 
     Returns
     -------
     (M, (e1, e2))
         The 2x2 matrix and its eigenvalues sorted by real part (descending),
-        computed from the closed-form quadratic.
+        computed from the closed-form quadratic; a complex pair when the
+        discriminant is negative.
     """
-    if min(a, D, tau, delta) <= 0 or mu < 0:
-        raise ParameterError(
-            f"need a, D, tau, delta > 0 and mu >= 0, got {(a, D, tau, delta, mu)}"
-        )
-    M = np.array([[-D * mu - delta, a], [delta / tau, -(mu + a) / tau]])
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if min(D, tau) <= 0 or mu < 0:
+        raise ParameterError(f"need D, tau > 0 and mu >= 0, got {(D, tau, mu)}")
+    M = np.array([[-D * mu + fu, fv], [-fu / tau, -(mu + fv) / tau]])
+    tr, det = _trace_det(M)
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         root = math.sqrt(disc)
         e1, e2 = 0.5 * (tr + root), 0.5 * (tr - root)
-    else:  # structurally unreachable here, kept for robustness
+    else:
         root_i = math.sqrt(-disc)
         e1, e2 = complex(0.5 * tr, 0.5 * root_i), complex(0.5 * tr, -0.5 * root_i)
     return M, (e1, e2)
@@ -73,7 +76,7 @@ def constant_a_mode_matrix(
 
 @dataclass(frozen=True)
 class ModeEigenpair:
-    """Eigen-structure of one Neumann mode under constant activation."""
+    """Eigen-structure of one Neumann mode."""
 
     j: int
     mu: float
@@ -82,14 +85,13 @@ class ModeEigenpair:
 
 
 def mode_eigenpair(
-    a: float, D: float, tau: float, delta: float, j: int, mu: float
+    fu: float, fv: float, D: float, tau: float, j: int, mu: float
 ) -> ModeEigenpair:
-    """Classify mode j (eigenvalue mu of -Laplace) for constant activation."""
+    """Classify mode j (eigenvalue mu of -Laplace) of the Jacobian (fu, fv)."""
     if j < 1:
         raise ParameterError(f"mode index must be >= 1, got {j}")
-    _, eigs = constant_a_mode_matrix(a, D, tau, delta, mu)
-    scale = D * mu + delta + a
-    tol = NEUTRAL_TOL * scale
+    _, eigs = mode_matrix(fu, fv, D, tau, mu)
+    tol = NEUTRAL_TOL * (D * mu + abs(fu) + abs(fv))
     if any(isinstance(e, complex) and abs(e.imag) > tol for e in eigs):
         cls = "complex"
     else:
@@ -110,32 +112,26 @@ def degeneracy_residual(
     mu_j: float,
     eq: HomogeneousEquilibrium | None = None,
 ) -> float:
-    """Scalar degeneracy residual of the linearized operator on mode j.
+    """Degeneracy residual of the linearized operator on mode j.
 
-    The operator is degenerate on mode j exactly when the residual vanishes.
-    For j >= 2 (mean-free modes)
-
-        r = D mu_j + delta + D a(u*) + D a'(u*) u* + a'(u*) xi u* / tau
-            - a'(u*) lam / tau,
-
-    while the j = 1 (constant-mode) variant replaces the xi term by
-    a(u*) xi u* / tau and drops the D mu_j contribution since mu_1 = 0.
-    With gamma = 0 the residual reduces to D mu_j + delta + D a > 0: a flat
-    activation never produces a degeneracy.
+    It vanishes exactly when the operator is degenerate on mode j: tau det
+    M(mu_j)/mu_j = D mu_j + D fv - fu for a mean-free mode (j >= 2, mu_j > 0),
+    -tr M(0) = fv/tau - fu, the well-mixed rate, for j = 1 (mu_j unused).
+    With gamma = 0 both are positive: a flat activation never degenerates.
     """
     if j < 1:
         raise ParameterError(f"mode index must be >= 1, got {j}")
-    if mu_j < 0:
-        raise ParameterError(f"mode eigenvalue must be >= 0, got {mu_j}")
+    if mu_j < 0 or (j > 1 and mu_j == 0):
+        raise ParameterError(f"mode eigenvalue must be >= 0, and > 0 for j >= 2, got {mu_j}")
     if eq is None:
         eq = solve_equilibrium(p, lam)
-    u = eq.u_star
-    a = float(a_of_u(p, u))
-    ap = float(a_prime(p, u))
-    common = p.delta + p.D * a + p.D * ap * u - ap * lam / p.tau
+    fu = eq.v_star * float(a_prime(p, eq.u_star)) - p.delta
+    fv = float(a_of_u(p, eq.u_star))
     if j == 1:
-        return common + a * p.xi * u / p.tau
-    return p.D * mu_j + common + ap * p.xi * u / p.tau
+        tr, _ = _trace_det(mode_matrix(fu, fv, p.D, p.tau, 0.0)[0])
+        return -tr
+    _, det = _trace_det(mode_matrix(fu, fv, p.D, p.tau, mu_j)[0])
+    return p.tau * det / mu_j
 
 
 @dataclass(frozen=True)
@@ -227,9 +223,9 @@ def linearized_operator_matrix(p: Model4Params, lam: float, g: Grid) -> np.ndarr
     L phi = -D lap(phi) + c phi + (a(u*) xi / tau) mean(phi)  with
     c = delta + D a(u*) + D a'(u*) u* - (a'(u*)/tau)(lam - xi u*).
 
-    On mean-free discrete eigenvectors this reduces to D mu_j^h + c, which is
-    what the mode-wise residual encodes for j >= 2; the dense form exists as
-    a cross-check on small grids.
+    It acts as D mu_j^h + c on mean-free discrete eigenvectors and as
+    c + a(u*) xi / tau on constants: the residuals tau det M(mu_j^h)/mu_j^h
+    and -tr M(0).  The dense form exists as a cross-check on small grids.
     """
     if g.n_nodes > 5000:
         raise ParameterError(

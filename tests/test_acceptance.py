@@ -35,8 +35,8 @@ from polarsim.diagnostics import (
 )
 from polarsim.equilibrium import integrate_homogeneous_ode
 from polarsim.linearization import (
-    constant_a_mode_matrix,
     mode_eigenpair,
+    mode_matrix,
     scan_degeneracy,
 )
 from polarsim.solver import SolverConfig, run
@@ -219,7 +219,7 @@ def test_07_mode_analysis():
             n_zero = 0
             for j in range(1, 51):
                 mu = ((j - 1) * math.pi) ** 2
-                M, eigs = constant_a_mode_matrix(a, D, tau, delta, mu)
+                M, eigs = mode_matrix(-delta, a, D, tau, mu)
                 dense = np.linalg.eigvals(M)
                 scale = D * mu + delta + a
                 assert np.max(np.abs(dense.imag)) == 0.0
@@ -235,7 +235,7 @@ def test_07_mode_analysis():
                         n_zero += 1
                     else:
                         assert e < -1e-10 * scale
-                pair = mode_eigenpair(a, D, tau, delta, j, mu)
+                pair = mode_eigenpair(-delta, a, D, tau, j, mu)
                 assert pair.classification == ("neutral" if j == 1 else "stable")
             assert n_zero == 1
 

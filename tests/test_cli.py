@@ -20,6 +20,7 @@ import polarsim
 from polarsim import Field, Grid, Model4Params, cli, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from polarsim.equilibrium import integrate_homogeneous_ode
+from polarsim.errors import EquilibriumError
 from polarsim.grid import second_eigenvalue
 from polarsim.linearization import degeneracy_residual, scan_degeneracy
 
@@ -913,3 +914,77 @@ def test_sweep_member_set_up_failure_is_printed(tmp_path, capsys):
     assert [row[:2] for row in rows] == [["8", "ok"], ["9", "failed"]]
     assert rows[1][2:] == ["nan", "nan"]
     assert summary_dict(root / "grid.n=8" / "summary.txt")["status"] == "ok"
+
+
+# -- the exit-code contract after a finished run, an empty --out, a closed stdout --
+
+# the balance gap has roots near 0.0051, 0.322 and 0.506; the run flattens onto the last
+THREE_ROOTS = """\
+[model]
+kind = model4
+D = 4.0
+tau = 1.0
+b = 1.0
+gamma = 1.0
+k = 1.0
+k0 = 0.001
+delta = 0.2
+
+[grid]
+length = 1.0
+n = 64
+
+[solver]
+t_end = 20.0
+dt = 0.01
+scheme = imex-cn
+stride = 100
+
+[ic]
+kind = expression
+u = 0.5 + 0.01*cos(pi*x/L)
+v = 0.5
+"""
+
+
+def test_finished_run_with_several_equilibria_exits_0(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(write_cfg(tmp_path, THREE_ROOTS)), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    summary = summary_dict(out / "summary.txt")
+    p = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.001, delta=0.2)
+    with pytest.raises(EquilibriumError, match="3 sign changes"):
+        solve_equilibrium(p, float(summary["lam"]))
+    assert summary["mass_line_check"] == "pass"
+    assert summary["status"] == "ok"
+    assert not [key for key in summary if key.startswith("omega_")]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--param", "model.d", "--values", "4.0"]])
+@pytest.mark.parametrize("out", ["", "  "])
+def test_empty_out_exits_2(tmp_path, monkeypatch, capsys, command, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, QUICK)
+    assert main([*command, "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --out must name a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
+
+
+def test_closed_stdout_exits_3_without_traceback(tmp_path, capsys):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as sink, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        assert main(["equilibrium", "--lam", "1"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == ""

@@ -442,10 +442,22 @@ class TestOmegaLimit:
         state = SimState(
             10.0, Field(g, np.full(17, eq.u_star)), Field(g, np.full(17, eq.v_star))
         )
-        rep = omega_limit_check(state, P4, 1.0)
+        rep = omega_limit_check(state, P4, 1.0, equilibrium=eq)
         assert rep.mass_gap < 1e-12
         assert rep.converged
         assert rep.u_gap < 1e-12 and rep.v_gap < 1e-12
+
+    def test_without_equilibrium_reports_nan_gaps(self):
+        # the check reads only the equilibrium it is given; it never solves
+        g = Grid.interval(1.0, 17)
+        eq = solve_equilibrium(P4, 1.0)
+        state = SimState(
+            10.0, Field(g, np.full(17, eq.u_star)), Field(g, np.full(17, eq.v_star))
+        )
+        rep = omega_limit_check(state, P4, 1.0)
+        assert rep.mass_gap < 1e-12
+        assert math.isnan(rep.u_gap) and math.isnan(rep.v_gap)
+        assert not rep.converged
 
     def test_broken_mass_line_raises(self):
         g = Grid.interval(1.0, 17)

@@ -1,9 +1,13 @@
 """Mode matrices, degeneracy residuals, and parameter scans.
 
-The 2x2 mode matrix is checked against ``np.linalg.eigvals``; the modal
-residual is checked against both an algebraically rearranged closed form and
-the action of the dense nonlocal operator on discrete eigenvectors; scan
-roots are checked against ``scipy.optimize.brentq`` on the same residual.
+The 2x2 mode matrix is checked against ``np.linalg.eigvals`` and, for
+constant activation, against the closed forms of its determinant and
+zero-mode spectrum; the modal residual is checked against an algebraically
+rearranged closed form, against ``np.linalg.det``/``np.trace`` of the mode
+matrix, against the action of the dense nonlocal operator on discrete
+eigenvectors and on constants, and its constant-mode reading against the
+slope of the well-mixed right side; scan roots are checked against
+``scipy.optimize.brentq`` on the same residual.
 """
 
 import math
@@ -11,19 +15,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from polarsim import Grid, Model4Params, solve_equilibrium
-from polarsim.errors import ParameterError
+from polarsim.errors import EquilibriumError, ParameterError
 from polarsim.grid import discrete_neumann_eigenvalue
-from polarsim.kinetics import a_of_u, a_prime
+from polarsim.kinetics import a_of_u, a_prime, ode_rhs_model4
 from polarsim.linearization import (
-    constant_a_mode_matrix,
     degeneracy_residual,
     linearized_operator_matrix,
     mode_eigenpair,
+    mode_matrix,
     scan_degeneracy,
 )
 
@@ -34,11 +38,15 @@ SCAN_P = Model4Params(D=1.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.05, delta=0.
 SCAN_MU2 = 0.25
 SCAN_ROOT_D = 0.10030329819881556
 
+# CLI defaults: xi = 1 - tau D = -3, and -1 with tau = 0.5
+CLI_P = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
+
 
 class TestConstantAModeMatrix:
+    # constant activation a is the Jacobian fu = -delta, fv = a
     def test_zero_mode_eigenvalues(self):
         a, D, tau, delta = 1.2, 0.7, 1.5, 0.4
-        _, (e1, e2) = constant_a_mode_matrix(a, D, tau, delta, 0.0)
+        _, (e1, e2) = mode_matrix(-delta, a, D, tau, 0.0)
         assert e1 == pytest.approx(0.0, abs=1e-14)
         assert e2 == pytest.approx(-(delta + a / tau), rel=1e-13)
 
@@ -48,7 +56,7 @@ class TestConstantAModeMatrix:
             (0.3, 2.5, 0.6, 1.7, 9.87),
             (4.0, 0.1, 3.0, 0.05, 0.3),
         ]:
-            M, _ = constant_a_mode_matrix(a, D, tau, delta, mu)
+            M, _ = mode_matrix(-delta, a, D, tau, mu)
             det = float(np.linalg.det(M))
             want = mu * (D * mu + D * a + delta) / tau
             assert det == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -58,7 +66,7 @@ class TestConstantAModeMatrix:
         for _ in range(25):
             a, D, tau, delta = rng.uniform(0.05, 5.0, 4)
             mu = rng.uniform(0.0, 50.0)
-            M, eigs = constant_a_mode_matrix(a, D, tau, delta, mu)
+            M, eigs = mode_matrix(-delta, a, D, tau, mu)
             ref = sorted(np.linalg.eigvals(M).real, reverse=True)
             got = sorted((complex(e).real for e in eigs), reverse=True)
             scale = D * mu + delta + a
@@ -67,9 +75,9 @@ class TestConstantAModeMatrix:
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
-            constant_a_mode_matrix(0.0, 1.0, 1.0, 1.0, 0.0)
+            mode_matrix(-1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
-            constant_a_mode_matrix(1.0, 1.0, 1.0, 1.0, -0.5)
+            mode_matrix(-1.0, 1.0, 1.0, 1.0, -0.5)
 
     @given(
         a=st.floats(min_value=1e-1, max_value=1e1),
@@ -83,7 +91,7 @@ class TestConstantAModeMatrix:
         # Constant activation cannot produce oscillatory or Turing-type
         # growth: the discriminant stays positive and both eigenvalues stay
         # in the closed left half plane, with zero only on the mean mode.
-        pair = mode_eigenpair(a, D, tau, delta, j=1, mu=mu)
+        pair = mode_eigenpair(-delta, a, D, tau, j=1, mu=mu)
         assert pair.classification != "complex"
         e1 = complex(pair.eigenvalues[0]).real
         scale = D * mu + delta + a
@@ -92,6 +100,52 @@ class TestConstantAModeMatrix:
             assert pair.classification == "neutral"
         else:
             assert pair.classification == "stable"
+
+
+class TestHillModeMatrix:
+    def test_complex_pair_matches_dense_solver(self):
+        # fu fv > tau (fu - D mu + (mu + fv)/tau)^2 / 4: M = [[-2, 1], [-1, -2]]
+        M, eigs = mode_matrix(1.0, 1.0, 3.0, 1.0, 1.0)
+        np.testing.assert_array_equal(M, [[-2.0, 1.0], [-1.0, -2.0]])
+        ref = sorted(np.linalg.eigvals(M), key=lambda e: e.imag, reverse=True)
+        np.testing.assert_allclose(eigs, ref, rtol=1e-14)
+        assert mode_eigenpair(1.0, 1.0, 3.0, 1.0, j=2, mu=1.0).classification == "complex"
+
+    def test_positive_feedback_destabilises_the_constant_mode(self):
+        # tr M(0) = fu - fv/tau = 1 > 0: eigenvalues 1 and 0
+        pair = mode_eigenpair(2.0, 1.0, 1.0, 1.0, j=1, mu=0.0)
+        assert pair.eigenvalues == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert pair.classification == "unstable"
+
+    @given(
+        D=st.floats(min_value=0.1, max_value=10.0),
+        tau=st.floats(min_value=0.2, max_value=5.0),
+        gamma=st.floats(min_value=0.0, max_value=3.0),
+        k=st.floats(min_value=0.3, max_value=2.0),
+        k0=st.floats(min_value=0.02, max_value=1.0),
+        delta=st.floats(min_value=0.1, max_value=5.0),
+        m=st.sampled_from([2.0, 3.0, 4.0]),
+        lam=st.floats(min_value=0.2, max_value=3.0),
+        mu=st.floats(min_value=1e-2, max_value=1e2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_residuals_are_readings_of_the_mode_matrix(self, D, tau, gamma, k, k0, delta, m, lam, mu):
+        p = Model4Params(D=D, tau=tau, b=1.0, gamma=gamma, k=k, k0=k0, delta=delta, m=m)
+        try:
+            eq = solve_equilibrium(p, lam)
+        except EquilibriumError:
+            assume(False)
+        # the Jacobian of f = v a(u) - delta u at the equilibrium
+        fu = eq.v_star * float(a_prime(p, eq.u_star)) - delta
+        fv = float(a_of_u(p, eq.u_star))
+        M, _ = mode_matrix(fu, fv, D, tau, mu)
+        M0, _ = mode_matrix(fu, fv, D, tau, 0.0)
+        r2 = degeneracy_residual(p, lam, 2, mu, eq)
+        # size of the terms that cancel in tau det M(mu)/mu
+        scale = D * mu + D * abs(fv) + abs(fu) + abs(fu * fv) / mu
+        assert abs(tau * np.linalg.det(M) / mu - r2) <= 1e-10 * scale
+        assert abs(D * mu + D * fv - fu - r2) <= 1e-10 * scale
+        assert -np.trace(M0) == pytest.approx(degeneracy_residual(p, lam, 1, 0.0, eq), rel=1e-10)
 
 
 class TestDegeneracyResidual:
@@ -111,30 +165,44 @@ class TestDegeneracyResidual:
             got = degeneracy_residual(SCAN_P, lam, 2, mu)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_constant_mode_variant(self):
-        lam = 1.0
-        eq = solve_equilibrium(SCAN_P, lam)
-        u = eq.u_star
-        a = float(a_of_u(SCAN_P, u))
-        ap = float(a_prime(SCAN_P, u))
-        common = SCAN_P.delta + SCAN_P.D * a + SCAN_P.D * ap * u - ap * lam / SCAN_P.tau
-        want = common + a * SCAN_P.xi * u / SCAN_P.tau
-        assert degeneracy_residual(SCAN_P, lam, 1, 0.0) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_constant_mode_is_dense_operator_on_constants(self, tau):
+        # xi = 1 - tau D != 0 at the CLI defaults: the dense operator maps the
+        # constant vector to the constant-mode residual times itself
+        p = replace(CLI_P, tau=tau)
+        g = Grid.interval(1.0, 9)
+        got = linearized_operator_matrix(p, 1.0, g) @ np.ones(g.n_nodes)
+        np.testing.assert_allclose(got, degeneracy_residual(p, 1.0, 1, 0.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [SCAN_P, CLI_P, replace(CLI_P, tau=0.5)])
+    def test_constant_mode_is_well_mixed_rate(self, p):
+        # -tr M(0) is minus the slope of dU/dt = -delta U + a(U)(lam - U)/tau at u*
+        lam, h = 1.0, 1e-5
+        u = solve_equilibrium(p, lam).u_star
+        slope = (ode_rhs_model4(p, lam, u + h) - ode_rhs_model4(p, lam, u - h)) / (2.0 * h)
+        assert degeneracy_residual(p, lam, 1, 0.0) == pytest.approx(-slope, rel=1e-8)
 
     def test_flat_activation_never_degenerate(self):
+        # gamma = 0: tau det M(mu)/mu = D (mu + a) + delta and -tr M(0) = a/tau + delta
         p = replace(SCAN_P, gamma=0.0, k0=0.3)
-        for mu in (0.0, 0.25, 3.0):
+        eq = solve_equilibrium(p, 1.0)
+        a = float(a_of_u(p, eq.u_star))
+        for mu in (0.25, 3.0):
             r = degeneracy_residual(p, 1.0, 2, mu)
-            eq = solve_equilibrium(p, 1.0)
-            want = p.D * mu + p.delta + p.D * float(a_of_u(p, eq.u_star))
+            want = p.D * mu + p.delta + p.D * a
             assert r == pytest.approx(want, rel=1e-12)
             assert r > 0.0
+        r = degeneracy_residual(p, 1.0, 1, 0.0)
+        assert r == pytest.approx(a / p.tau + p.delta, rel=1e-12)
+        assert r > 0.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             degeneracy_residual(SCAN_P, 1.0, 0, 0.25)
         with pytest.raises(ParameterError):
             degeneracy_residual(SCAN_P, 1.0, 2, -1.0)
+        with pytest.raises(ParameterError):
+            degeneracy_residual(SCAN_P, 1.0, 2, 0.0)
 
     def test_agrees_with_dense_operator_on_eigenmodes(self):
         # On a small grid the dense nonlocal operator applied to the
