@@ -67,7 +67,6 @@ from .solver import (
     default_dt,
     read_snapshot,
     run,
-    step,
     transform_w,
     transform_z,
     write_snapshot,
@@ -159,7 +158,6 @@ __all__ = [
     "SimState",
     "RunResult",
     "default_dt",
-    "step",
     "run",
     "transform_w",
     "transform_z",

@@ -12,8 +12,8 @@ fv = a(u*).  Since det M(mu) = mu (D mu + D fv - fu) / tau, M(0) has the
 eigenvalue 0 (the mass direction) and tr M(0) = fu - fv/tau, the slope of the
 well-mixed reduction.  With constant activation the spectrum is real; Hill
 feedback (fu > 0) can make it complex.  The degeneracy residual at the
-equilibrium reads M: tau det M(mu)/mu on a mean-free mode, -tr M(0) on the
-constant mode.
+equilibrium reads M: tau det M(mu)/mu on a mean-free mode, in its closed
+form, -tr M(0) on the constant mode.
 """
 from __future__ import annotations
 
@@ -117,7 +117,9 @@ def degeneracy_residual(
     It vanishes exactly when the operator is degenerate on mode j: tau det
     M(mu_j)/mu_j = D mu_j + D fv - fu for a mean-free mode (j >= 2, mu_j > 0),
     -tr M(0) = fv/tau - fu, the well-mixed rate, for j = 1 (mu_j unused).
-    With gamma = 0 both are positive: a flat activation never degenerates.
+    The closed form is evaluated as such: det M(mu_j)/mu_j would cancel the
+    fu fv terms and lose digits as mu_j -> 0.  With gamma = 0 both are
+    positive: a flat activation never degenerates.
     """
     if j < 1:
         raise ParameterError(f"mode index must be >= 1, got {j}")
@@ -130,8 +132,7 @@ def degeneracy_residual(
     if j == 1:
         tr, _ = _trace_det(mode_matrix(fu, fv, p.D, p.tau, 0.0)[0])
         return -tr
-    _, det = _trace_det(mode_matrix(fu, fv, p.D, p.tau, mu_j)[0])
-    return p.tau * det / mu_j
+    return p.D * mu_j + p.D * fv - fu
 
 
 @dataclass(frozen=True)

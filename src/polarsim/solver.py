@@ -27,7 +27,8 @@ run is the batch B = 1.  Runs can share a batch when they share the grid,
 the resolved dt, t_end, scheme, stride, retry limit and source, the model
 and the Hill exponent (:func:`batch_key`); the other parameters may differ.
 Each member gets the bits of its own single run: a member whose positivity
-guard fails leaves the batch and redoes that step alone, halving dt there.
+guard fails redoes that step alone, halved, and rejoins the batch; only a
+member whose retries run out leaves it.
 
 Snapshots are tables of :mod:`polarsim.tables`, read back by ``file`` ICs.
 """
@@ -53,7 +54,6 @@ __all__ = [
     "transform_w",
     "transform_z",
     "default_dt",
-    "step",
     "batch_key",
     "run",
     "write_snapshot",
@@ -191,7 +191,9 @@ class _Stepper:
     """One-dt advancement of B members stacked as (B, 2, *shape).
 
     Spectral multipliers and the coefficients dt, dt/tau are cached per dt,
-    one row per member; ``prev`` is the AB2 history (dt, explicit terms).
+    one row per member.  A stepper holds no AB2 history: :func:`_march`
+    passes the explicit terms of the previous nominal step to
+    :meth:`attempt`, and :meth:`bisect` steps from a cleared history.
     """
 
     def __init__(
@@ -201,22 +203,20 @@ class _Stepper:
         cfg: SolverConfig,
         dt: float,
         source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
-        prev: tuple[float, np.ndarray] | None = None,
+        solve: _NeumannSolve | None = None,
     ) -> None:
         self.g = g
         self.ps = ps
         self.cfg = cfg
         self.dt = dt
         self.source = source
-        self.prev = prev
         self.f = reaction_rhs(StackedParams(ps, g.dim))
-        self._solve = _NeumannSolve(g)
+        self._solve = solve if solve is not None else _NeumannSolve(g)
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def take(self, idx) -> "_Stepper":
-        """The stepper of members ``idx``, carrying their AB2 history."""
-        prev = None if self.prev is None else (self.prev[0], self.prev[1][idx])
-        return _Stepper(self.g, [self.ps[i] for i in idx], self.cfg, self.dt, self.source, prev)
+        """The stepper of members ``idx``, sharing this one's spectral solve."""
+        return _Stepper(self.g, [self.ps[i] for i in idx], self.cfg, self.dt, self.source, self._solve)
 
     def _constants(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers of S_au, S_av and coefficients dt, dt/tau; a = theta dt D, theta dt/tau."""
@@ -227,8 +227,15 @@ class _Stepper:
             self._cache[dt] = factors, coefs.reshape(coefs.shape + (1,) * self.g.dim)
         return self._cache[dt]
 
-    def attempt(self, t: float, x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """One unguarded step of dt; returns the new state and its explicit terms."""
+    def attempt(
+        self, t: float, x: np.ndarray, dt: float, prev: np.ndarray | None = None, fresh: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One unguarded step of dt; returns the new state and its explicit terms.
+
+        Under imex-cn, ``prev`` holds the explicit terms of the previous step
+        of dt (None: Euler bootstrap for every row) and ``fresh`` marks the
+        rows that bootstrap with Euler all the same (None: no row).
+        """
         fv = self.f(x[:, 0], x[:, 1])
         if self.source is None:
             e = np.stack((fv, -fv), axis=1)
@@ -237,26 +244,22 @@ class _Stepper:
             e = np.stack((fv + su, -fv + sv), axis=1)
         factors, coefs = self._constants(dt)
         if self.cfg.scheme == "imex-cn":
-            prev = self.prev
-            if prev is not None and prev[0] == dt:
-                r = 1.5 * e - 0.5 * prev[1]
-            else:  # Euler bootstrap (first step / after a dt change)
+            if prev is None:
                 r = e
+            else:
+                r = 1.5 * e - 0.5 * prev
+                if fresh is not None:
+                    r[fresh] = e[fresh]
             # S_a(u + a lap u + dt r) = S_a(2u + dt r) - u, as I + a lap = 2I - (I - a lap)
             return self._solve(2.0 * x + coefs * r, factors) - x, e
         return self._solve(x + coefs * e, factors), e
 
-    def try_step(self, t: float, x: np.ndarray, stats, dt: float, budget: int):
-        """Advance a lone member by dt, bisecting the step on a failed guard."""
-        x2, e = self.attempt(t, x, dt)
-        stats2 = _extrema(x2)
-        if _accepted(stats, stats2)[0]:
-            self.prev = (dt, e)
-            return x2, stats2
-        return self.bisect(t, x, stats, dt, budget, x2, stats2)
-
     def bisect(self, t: float, x: np.ndarray, stats, dt: float, budget: int, x2: np.ndarray, stats2):
-        """Replace a rejected step x -> x2 of a lone member by two halved substeps."""
+        """Replace a rejected step x -> x2 of a lone member by two halved substeps.
+
+        Each substep starts from a cleared AB2 history and is bisected in
+        turn when it fails the guard, at most ``budget`` times deep.
+        """
         if budget <= 0:
             if not (np.isfinite(stats2[0][0]) and np.isfinite(stats2[1][0])):
                 raise SolverError(
@@ -267,26 +270,13 @@ class _Stepper:
                 f"negativity persisted at t = {t:.6g} after exhausting dt-halving "
                 f"retries (min u = {float(np.min(x2[0, 0])):.3e}, min v = {float(np.min(x2[0, 1])):.3e})"
             )
-        # replace the step by two halved substeps; AB2 history is stale now
-        self.prev = None
-        xm, sm = self.try_step(t, x, stats, 0.5 * dt, budget - 1)
-        self.prev = None
-        out = self.try_step(t + 0.5 * dt, xm, sm, 0.5 * dt, budget - 1)
-        self.prev = None
-        return out
-
-
-def step(state: SimState, p: ModelParams, cfg: SolverConfig) -> SimState:
-    """Advance a state by one step of cfg.dt (or the default dt).
-
-    Convenience single-shot entry point; repeated stepping should go through
-    :func:`run`, which reuses the cached spectral multipliers.
-    """
-    g = state.grid
-    dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
-    x = np.stack((state.u.values, state.v.values))[None]
-    x2, _ = _Stepper(g, [p], cfg, dt).try_step(state.t, x, _extrema(x), dt, cfg.retry_limit)
-    return SimState(state.t + dt, Field(g, x2[0, 0]), Field(g, x2[0, 1]))
+        for ts in (t, t + 0.5 * dt):
+            xs, _ = self.attempt(ts, x, 0.5 * dt)
+            ss = _extrema(xs)
+            if not _accepted(stats, ss)[0]:
+                xs, ss = self.bisect(ts, x, stats, 0.5 * dt, budget - 1, xs, ss)
+            x, stats = xs, ss
+        return x, stats
 
 
 @dataclass
@@ -386,39 +376,46 @@ class _Member:
         )
 
 
-def _march(members: list[_Member], stepper: _Stepper, x: np.ndarray, first: int) -> None:
-    """Step the stacked members from nominal step ``first`` to the end.
+def _rows(stats: tuple[np.ndarray, np.ndarray], idx) -> tuple[np.ndarray, np.ndarray]:
+    """The per-member (min, max) pair of members ``idx``."""
+    return stats[0][idx], stats[1][idx]
 
-    A lone member bisects a step that fails the guard.  In a batch, a
-    member that fails leaves it and redoes the step alone from its last
-    accepted state and AB2 history, so no trajectory depends on its
-    batchmates.
+
+def _march(members: list[_Member], stepper: _Stepper, x: np.ndarray) -> None:
+    """Step the stacked members through their nominal steps.
+
+    A member whose attempt fails the guard redoes that step alone, bisected
+    from its pre-step state on a lone stepper, and the result is written back
+    into its row; its next step bootstraps AB2 with Euler, as in its single
+    run.  Only a member whose retries run out leaves the batch, so no
+    trajectory depends on its batchmates.
     """
     dt, n_steps, stride = stepper.dt, members[0].n_steps, stepper.cfg.stride
     stats = _extrema(x)
-    for i in range(first, n_steps + 1):
+    prev = fresh = None
+    for i in range(1, n_steps + 1):
         t = (i - 1) * dt
-        x2, e = stepper.attempt(t, x, dt)
+        x2, prev = stepper.attempt(t, x, dt, prev, fresh)
         stats2 = _extrema(x2)
         ok = _accepted(stats, stats2)
-        if ok.all():
-            stepper.prev = (dt, e)
-        elif len(members) == 1:
-            try:
-                x2, stats2 = stepper.bisect(t, x, stats, dt, stepper.cfg.retry_limit, x2, stats2)
-            except SolverError as exc:
-                members[0].fail(exc)
+        fresh = None if ok.all() else ~ok
+        if fresh is not None:
+            for b in np.flatnonzero(fresh):
+                row = slice(b, b + 1)
+                try:
+                    x2[row], (stats2[0][row], stats2[1][row]) = stepper.take([b]).bisect(
+                        t, x[row], _rows(stats, row), dt, stepper.cfg.retry_limit,
+                        x2[row], _rows(stats2, row),
+                    )
+                except SolverError as exc:
+                    members[b].fail(exc)
+            keep = [b for b, m in enumerate(members) if m.outcome is None]
+            if not keep:
                 return
-        else:
-            for b in np.flatnonzero(~ok):
-                _march([members[b]], stepper.take([b]), x[b : b + 1], i)
-            keep = np.flatnonzero(ok)
-            if keep.size == 0:
-                return
-            members = [members[b] for b in keep]
-            stepper = stepper.take(keep)
-            stepper.prev = (dt, e[keep])
-            x2, stats2 = x2[keep], (stats2[0][keep], stats2[1][keep])
+            if len(keep) < len(members):
+                members = [members[b] for b in keep]
+                stepper = stepper.take(keep)
+                x2, stats2, prev, fresh = x2[keep], _rows(stats2, keep), prev[keep], fresh[keep]
         x, stats = x2, stats2
         if i % stride == 0 or i == n_steps:
             for b, m in enumerate(members):
@@ -483,7 +480,7 @@ def run(
         for b, m in enumerate(members):
             m.emit(0.0, x[b])
         stepper = _Stepper(members[0].g, [m.p for m in members], cfg, members[0].dt, source)
-        _march(members, stepper, x, 1)
+        _march(members, stepper, x)
     return [o.outcome if isinstance(o, _Member) else o for o in outcomes]
 
 

@@ -107,6 +107,29 @@ v = 0.5 + 0.1*cos(2*pi*x/L)
 """
 
 
+# nominal steps at which each member of a 0.5,20,1.5,30,26 delta sweep of
+# HALVING halves its step under imex-cn, in 1-D and 2-D alike
+CN_HALVINGS = {"30": [0.0, 0.04, 0.16, 0.52], "26": [0.0, 0.04, 0.16], "20": [0.08]}
+
+
+def count_reaction_calls(monkeypatch):
+    """Count the reaction evaluations of every stepper built from now on."""
+    calls = [0]
+    make = solver.reaction_rhs
+
+    def counting_reaction_rhs(p):
+        f = make(p)
+
+        def counted(u, v):
+            calls[0] += 1
+            return f(u, v)
+
+        return counted
+
+    monkeypatch.setattr(solver, "reaction_rhs", counting_reaction_rhs)
+    return calls
+
+
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -472,44 +495,56 @@ class TestSweep:
         assert started == []
 
     @pytest.mark.parametrize(
-        "grid,scheme,delta_halving",
+        "grid,scheme,values,halvings",
         [
-            ("length = 1.0\nn = 16", "imex-be", "30"),
-            # first halving at t = 0.08, so the member leaves with its AB2 history
-            ("length = 1.0\nn = 16", "imex-cn", "20"),
-            ("lx = 1.0\nly = 1.5\nnx = 6\nny = 9", "imex-cn", "20"),
+            ("length = 1.0\nn = 16", "imex-be", "0.5,30,1.5", {"30": [0.0, 0.04]}),
+            # members halve at different steps, and 30 halves again after rejoining
+            ("length = 1.0\nn = 16", "imex-cn", "0.5,20,1.5,30,26", CN_HALVINGS),
+            ("lx = 1.0\nly = 1.5\nnx = 6\nny = 9", "imex-cn", "0.5,20,1.5,30,26", CN_HALVINGS),
         ],
         ids=["1d-be", "1d-cn", "2d-cn"],
     )
     def test_batched_members_match_single_runs(
-        self, tmp_path, monkeypatch, capsys, grid, scheme, delta_halving
+        self, tmp_path, monkeypatch, capsys, grid, scheme, values, halvings
     ):
-        bisected = []
+        halved = {}
         bisect = solver._Stepper.bisect
 
-        def spy(self, *args):
-            bisected.append((len(self.ps), self.prev is not None))
-            return bisect(self, *args)
+        def spy(self, t, x, stats, dt, budget, *args):
+            if budget == 20:  # a nominal step, not one of its substeps
+                assert len(self.ps) == 1
+                halved.setdefault(repr(self.ps[0].delta).removesuffix(".0"), []).append(round(t, 9))
+            return bisect(self, t, x, stats, dt, budget, *args)
 
         monkeypatch.setattr(solver._Stepper, "bisect", spy)
         text = HALVING.format(grid=grid, scheme=scheme, retry_limit=20)
         cfg = write_cfg(tmp_path, text)
         root = tmp_path / "sweep"
-        values = ["0.5", delta_halving, "1.5"]
         rc = main(
             ["sweep", "--config", str(cfg), "--param", "model.delta",
-             "--values", ",".join(values), "--out", str(root)]
+             "--values", values, "--out", str(root)]
         )
         assert rc == EXIT_OK
-        # the halving member stepped alone, under imex-cn with its AB2 history
-        assert bisected and {size for size, _ in bisected} == {1}
-        assert bisected[0][1] == (scheme == "imex-cn")
-        for delta in values:
+        assert halved == halvings
+        for delta in values.split(","):
             solo_text = text.replace("delta = 1.0", f"delta = {delta}")
             solo_cfg = write_cfg(tmp_path, solo_text, name=f"solo{delta}.cfg")
             solo_out = tmp_path / f"solo{delta}"
             assert main(["simulate", "--config", str(solo_cfg), "--out", str(solo_out)]) == EXIT_OK
             assert_same_data_rows(root / f"model.delta={delta}", solo_out)
+
+    def test_halving_member_redoes_only_its_step(self, tmp_path, monkeypatch, capsys):
+        # 20 nominal steps for the batch, plus two substeps for each of the
+        # two steps that delta = 30 halves
+        calls = count_reaction_calls(monkeypatch)
+        text = HALVING.format(grid="length = 1.0\nn = 16", scheme="imex-be", retry_limit=20)
+        cfg = write_cfg(tmp_path, text)
+        rc = main(
+            ["sweep", "--config", str(cfg), "--param", "model.delta",
+             "--values", "0.5,30,1.5", "--out", str(tmp_path / "sweep")]
+        )
+        assert rc == EXIT_OK
+        assert calls == [24]
 
     def test_failed_member_leaves_batchmates_ok(self, tmp_path, capsys):
         text = HALVING.format(grid="length = 1.0\nn = 16", scheme="imex-be", retry_limit=0)

@@ -12,6 +12,7 @@ slope of the well-mixed right side; scan roots are checked against
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,23 @@ class TestDegeneracyResidual:
             )
             got = degeneracy_residual(SCAN_P, lam, 2, mu)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.25, 1e-6, 1e-9])
+    def test_mean_free_residual_is_exact_at_small_mu(self, mu):
+        # tau det M(mu)/mu in exact rational arithmetic on the float Jacobian;
+        # the fu fv terms of det M cancel, so a float det M/mu would lose
+        # digits like eps |fu fv|/mu.  The error is measured against the size
+        # of the closed form's terms: at mu = 0.25 this D is a degeneracy root
+        # and the residual itself is only -1.8e-6
+        p = replace(SCAN_P, D=0.1003)
+        eq = solve_equilibrium(p, 1.0)
+        fu = eq.v_star * float(a_prime(p, eq.u_star)) - p.delta
+        fv = float(a_of_u(p, eq.u_star))
+        D, tau, m, Fu, Fv = map(Fraction, (p.D, p.tau, mu, fu, fv))
+        det = (-D * m + Fu) * (-(m + Fv) / tau) - Fv * (-Fu / tau)
+        want = tau * det / m
+        got = degeneracy_residual(p, 1.0, 2, mu, eq)
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * (D * m + D * abs(Fv) + abs(Fu))
 
     @pytest.mark.parametrize("tau", [1.0, 0.5])
     def test_constant_mode_is_dense_operator_on_constants(self, tau):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from polarsim.solver import (
     default_dt,
     read_snapshot,
     run,
-    step,
     transform_w,
     transform_z,
     write_snapshot,
@@ -370,7 +370,7 @@ class TestNeumannSolve:
         v = rng.uniform(0.8, 1.0, size=g.shape)
         dt = 0.01
         cfg = SolverConfig(t_end=dt, dt=dt, scheme=scheme)
-        out = step(SimState(0.0, Field(g, u), Field(g, v)), STD, cfg)
+        out = run((Field(g, u), Field(g, v)), STD, cfg).final_state
         r = reaction_rhs(STD)(u, v)
         cn = scheme == "imex-cn"
         a = 0.5 * dt if cn else dt
@@ -584,19 +584,35 @@ class TestSymmetryAndPositivity:
         np.testing.assert_array_equal(halved.v.values, two_steps.v.values)
 
 
-class TestStepAndResult:
-    def test_single_step_matches_run(self):
-        g = Grid.interval(1.0, 65)
-        x = g.coords()[0]
-        u0 = Field(g, 0.1 * (1.0 + 0.1 * np.cos(np.pi * x)))
-        v0 = Field(g, np.full(65, 0.9))
-        cfg = SolverConfig(t_end=0.002, dt=0.002, scheme="imex-cn", stride=1)
-        res = run((u0, v0), STD, cfg)
-        s1 = step(SimState(0.0, u0, v0), STD, cfg)
-        assert np.array_equal(res.final_state.u.values, s1.u.values)
-        assert np.array_equal(res.final_state.v.values, s1.v.values)
-        assert s1.t == pytest.approx(0.002)
+    @pytest.mark.parametrize(
+        "g", [Grid.interval(1.0, 16), Grid.rectangle(1.0, 1.5, 6, 9)], ids=["1d", "2d"]
+    )
+    def test_member_out_of_retries_after_a_rejoin_spares_its_batchmates(self, g):
+        # imex-cn, one retry: delta = 20 halves its step at t = 0.08 and rejoins;
+        # a sink pulse on [0.4, 0.44) makes 30 and 26 halve, and 30 runs out of
+        # retries while 26 rejoins with an Euler bootstrap of its AB2 history
+        X = g.meshgrid()[0]
+        ic = (Field(g, 0.5 + 0.2 * np.cos(np.pi * X)), Field(g, np.full(g.shape, 0.5)))
+        zero, sink = np.zeros(g.shape), np.full(g.shape, -0.11)
 
+        def source(t):
+            return (sink if 0.4 <= t < 0.44 else zero), zero
+
+        cfg = SolverConfig(t_end=0.8, dt=0.04, scheme="imex-cn", stride=5, retry_limit=1)
+        ps = [replace(STD, delta=d) for d in (0.5, 20.0, 1.5, 30.0, 26.0)]
+        batch = run([ic] * len(ps), ps, cfg, source=source)
+        assert isinstance(batch[3], SolverError)
+        assert str(batch[3]).startswith("negativity persisted at t = 0.42 ")
+        for p, got in zip(ps[:3] + ps[4:], batch[:3] + batch[4:]):
+            want = run(ic, p, cfg, source=source)
+            np.testing.assert_array_equal(got.final_state.u.values, want.final_state.u.values)
+            np.testing.assert_array_equal(got.final_state.v.values, want.final_state.v.values)
+            np.testing.assert_array_equal(
+                [r.row() for r in got.records], [r.row() for r in want.records]
+            )
+
+
+class TestStepAndResult:
     def test_run_result_contents(self):
         g = Grid.interval(1.0, 33)
         ic = cosine_ic(g, 0.0989, 0.9)

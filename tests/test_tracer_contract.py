@@ -40,32 +40,65 @@ u = 0.6 + 0.2*cos(pi*x/L)
 v = 0.5
 """
 
+# delta = 30 halves two of its 20 steps (delta dt > 1), the others none
+HALVING_SWEEP = """\
+[model]
+kind = model4
+D = 4.0
+tau = 1.0
+b = 1.0
+gamma = 1.0
+k = 1.0
+k0 = 0.1
+delta = 1.0
+
+[grid]
+length = 1.0
+n = 16
+
+[solver]
+t_end = 0.8
+dt = 0.04
+scheme = imex-be
+stride = 5
+
+[ic]
+kind = expression
+u = 0.5 + 0.2*cos(pi*x/L)
+v = 0.5 + 0.1*cos(2*pi*x/L)
+"""
+
 SCRIPT = """
-import json, sys
+import collections, json, sys
 sys.path.insert(0, sys.argv[1])
 import spans
 rec = spans.Recorder(0)
 spans.install(rec)
 from polarsim.cli import main
-code = main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
-print(json.dumps({"code": code, "spans": sorted({s[0] for s in rec.spans})}))
+code = main(sys.argv[2:])
+print(json.dumps({"code": code, "spans": collections.Counter(s[0] for s in rec.spans)}))
 """
 
 
-def test_tracer_installs_and_times_the_run_monitors(tmp_path):
-    cfg = tmp_path / "model1.cfg"
-    cfg.write_text(MODEL1)
+def traced_main(*argv) -> dict:
+    """Run the CLI under the benchmark tracer in a fresh interpreter."""
     src = str(Path(polarsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(PERFBENCH), str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", SCRIPT, str(PERFBENCH), *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
         check=True,
     )
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_installs_and_times_the_run_monitors(tmp_path):
+    cfg = tmp_path / "model1.cfg"
+    cfg.write_text(MODEL1)
+    result = traced_main("simulate", "--config", cfg, "--out", tmp_path / "out")
     assert result["code"] == 0
     for name in (
         "cli.cmd_simulate",
@@ -81,3 +114,16 @@ def test_tracer_installs_and_times_the_run_monitors(tmp_path):
         "grid.mean",
     ):
         assert name in result["spans"], name
+
+
+def test_tracer_counts_the_reactions_of_a_halving_member(tmp_path):
+    # 20 batch steps for three members, plus two substeps for each step
+    # that delta = 30 redoes alone
+    cfg = tmp_path / "halving.cfg"
+    cfg.write_text(HALVING_SWEEP)
+    result = traced_main(
+        "sweep", "--config", cfg, "--param", "model.delta", "--values", "0.5,30,1.5",
+        "--out", tmp_path / "sweep",
+    )
+    assert result["code"] == 0
+    assert result["spans"]["kinetics.reaction"] == 24
