@@ -79,6 +79,17 @@ def _add_mu2_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_override_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=int, help="override the random-IC seed")
+    sp.add_argument("--c4", type=float, help="override the C4 constant")
+    sp.add_argument("--sigma", type=float, help="override sigma (default: derived)")
+    sp.add_argument("--mu2", choices=EIGENVALUE_MODES, help="override mu2 mode")
+
+
+def _scenario_from_args(args: argparse.Namespace, config: str | Path, out: str | None) -> ScenarioConfig:
+    return load_scenario(config, out=out, seed=args.seed, c4=args.c4, sigma=args.sigma, mu2=args.mu2)
+
+
 # -- condition reporting -----------------------------------------------
 
 
@@ -265,18 +276,43 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
     return exit_code, metrics
 
 
-def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
-    """Execute one scenario, writing all outputs under scn.out_dir.
+def _run_scenarios(jobs: list[tuple[str | None, ScenarioConfig]]) -> list[tuple[int, dict]]:
+    """Execute scenarios; returns (exit code, summary metrics) per scenario.
 
-    Returns (exit code, summary metrics).  Solver failures preserve the
-    partial diagnostics table and the last recorded state.
+    Each is paired with where :func:`_report` places its errors, and all are
+    set up before those sharing a :func:`batch_key` go through one call of
+    :func:`run`.  An error at set-up, in the run or while writing ends that
+    scenario only; a solver failure keeps its partial outputs.
     """
-    job = _Scenario(scn)
-    try:
-        result = run(job.ic, scn.params, scn.solver, on_record=job.on_record)
-    except SolverError as exc:
-        result = exc
-    return _write_outputs(job, result)
+    results: list = [None] * len(jobs)
+    batches: dict[tuple, list[tuple[int, _Scenario]]] = {}
+    for i, (where, scn) in enumerate(jobs):
+        try:
+            job = _Scenario(scn)
+        except PolarsimError as exc:
+            results[i] = _report(exc, where), {"status": f"failed: {exc}"}
+            continue
+        batches.setdefault(batch_key(scn.grid, scn.params, scn.solver), []).append((i, job))
+    for members in batches.values():
+        outcomes = run(
+            [job.ic for _, job in members],
+            [job.scn.params for _, job in members],
+            members[0][1].scn.solver,
+            on_record=[job.on_record for _, job in members],
+        )
+        for (i, job), outcome in zip(members, outcomes):
+            try:
+                if not isinstance(outcome, (RunResult, SolverError)):
+                    raise outcome  # a set-up error found by run
+                results[i] = _write_outputs(job, outcome)
+            except PolarsimError as exc:
+                results[i] = _report(exc, jobs[i][0]), {"status": f"failed: {exc}"}
+    return results
+
+
+def run_scenario(scn: ScenarioConfig) -> tuple[int, dict]:
+    """Execute one scenario: :func:`_run_scenarios` of it alone."""
+    return _run_scenarios([(None, scn)])[0]
 
 
 def _write_summary(path: Path, meta: dict, pairs: list[tuple[str, str]]) -> None:
@@ -288,9 +324,7 @@ def _write_summary(path: Path, meta: dict, pairs: list[tuple[str, str]]) -> None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scn = load_scenario(
-        args.config, out=args.out, seed=args.seed, c4=args.c4, sigma=args.sigma, mu2=args.mu2
-    )
+    scn = _scenario_from_args(args, args.config, args.out)
     code, metrics = run_scenario(scn)
     if code == EXIT_OK:
         print(f"completed; outputs in {scn.out_dir}")
@@ -359,16 +393,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_member(job: _Scenario, outcome) -> tuple[int, dict]:
-    """Outputs of one sweep member; an error ends that member only."""
-    if isinstance(outcome, PolarsimError) and not isinstance(outcome, SolverError):
-        return EXIT_RUNTIME, {"status": f"failed: {outcome}"}
-    try:
-        return _write_outputs(job, outcome)
-    except PolarsimError as exc:
-        return EXIT_RUNTIME, {"status": f"failed: {exc}"}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     tokens = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not tokens:
@@ -393,56 +417,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # materialize and validate every scenario before launching any run, so
     # structural config errors abort the sweep as a whole (exit 2)
-    jobs: list[tuple[str, float, ScenarioConfig]] = []
+    jobs: list[tuple[str, ScenarioConfig]] = []
     for tok in tokens:
         try:
-            value = float(tok)
+            float(tok)
         except ValueError:
             raise ConfigError(f"sweep value {tok!r} is not a number") from None
         subdir = root / f"{section}.{key}={tok}"
         _make_dir(subdir)
         cfg_path = subdir / "scenario.cfg"
         cfg_path.write_text(_override_config_text(base_text, section, key, tok))
-        scn = load_scenario(
-            cfg_path, out=str(subdir), seed=args.seed, c4=args.c4, sigma=args.sigma, mu2=args.mu2
-        )
-        jobs.append((tok, value, scn))
-
-    # members that can share a stacked state go through one run call
-    results: dict[str, tuple[int, dict]] = {}
-    batches: dict[tuple, list[tuple[str, _Scenario]]] = {}
-    for tok, _, scn in jobs:
-        try:
-            job = _Scenario(scn)
-        except PolarsimError as exc:
-            code = _report(exc, f"sweep member {args.param}={tok}")
-            results[tok] = (code, {"status": f"failed: {exc}"})
-            continue
-        batches.setdefault(batch_key(scn.grid, scn.params, scn.solver), []).append((tok, job))
-    for members in batches.values():
-        outcomes = run(
-            [job.ic for _, job in members],
-            [job.scn.params for _, job in members],
-            members[0][1].scn.solver,
-            on_record=[job.on_record for _, job in members],
-        )
-        for (tok, job), outcome in zip(members, outcomes):
-            results[tok] = _sweep_member(job, outcome)
+        scn = _scenario_from_args(args, cfg_path, str(subdir))
+        jobs.append((f"sweep member {args.param}={tok}", scn))
+    results = dict(zip(tokens, _run_scenarios(jobs)))
 
     lines = []
-    n_ok = 0
-    for tok, value, _ in sorted(jobs, key=lambda job: job[1]):
+    for tok in sorted(tokens, key=float):
         code, metrics = results[tok]
-        status = "ok" if code == EXIT_OK else "failed"
-        if code == EXIT_OK:
-            n_ok += 1
         rate = metrics.get("decay_rate", math.nan)
         dev = metrics.get("u_dev_linf_final", math.nan)
-        lines.append(f"{tok} {status} {fmt(rate)} {fmt(dev)}")
+        lines.append(f"{tok} {'ok' if code == EXIT_OK else 'failed'} {fmt(rate)} {fmt(dev)}")
     columns = ("value", "status", "decay_rate", "u_dev_linf_final")
     rows = "\n".join(lines)
     write_table(root / "sweep_summary.txt", "sweep summary", [("param", args.param)], columns, rows)
-    print(f"sweep finished: {n_ok}/{len(jobs)} runs succeeded; summary in {root}")
+    n_ok = sum(code == EXIT_OK for code, _ in results.values())
+    print(f"sweep finished: {n_ok}/{len(tokens)} runs succeeded; summary in {root}")
     if n_ok > 0:
         return EXIT_OK
     # every member failed; all at set-up on a config or parameter error is a config error
@@ -480,10 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run one configured scenario")
     sp.add_argument("--config", required=True, help="scenario file (INI format)")
     sp.add_argument("--out", help="output directory (overrides [output] dir)")
-    sp.add_argument("--seed", type=int, help="override the random-IC seed")
-    sp.add_argument("--c4", type=float, help="override the C4 constant")
-    sp.add_argument("--sigma", type=float, help="override sigma (default: derived)")
-    sp.add_argument("--mu2", choices=EIGENVALUE_MODES, help="override mu2 mode")
+    _add_override_flags(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("equilibrium", help="solve the homogeneous balance equation")
@@ -519,10 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", required=True, help="section.key to vary, e.g. model.d")
     sp.add_argument("--values", required=True, help="comma-separated values")
     sp.add_argument("--out", help="sweep root directory (default sweep_out)")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--c4", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--mu2", choices=EIGENVALUE_MODES)
+    _add_override_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -240,15 +240,19 @@ def integrate_homogeneous_ode(
 ) -> OdeTrajectory:
     """Integrate dU/dt = -delta U + a(U)(lam - U)/tau with classical RK4.
 
-    [0, lam] is forward invariant for the exact flow; if a numerical step
-    leaves it by more than 1e-9 (absolute, scaled by max(1, lam)) the whole
-    trajectory is restarted with dt halved, up to 20 times.  The potential G
-    (antiderivative of the right side) is recorded at every step.
+    t_end must be a whole number of dt steps (to 1e-8 t_end).  [0, lam] is
+    forward invariant for the exact flow; if a numerical step leaves it by
+    more than 1e-9 (absolute, scaled by max(1, lam)) the whole trajectory is
+    restarted with dt halved, up to 20 times.  The potential G (antiderivative
+    of the right side) is recorded at every step.
     """
     if not (0.0 <= U0 <= lam):
         raise ParameterError(f"U0 must lie in [0, lam] = [0, {lam}], got {U0}")
     if dt <= 0 or t_end <= 0:
         raise ParameterError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
+    n_steps = max(1, round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-8 * t_end:
+        raise ParameterError(f"t_end = {t_end} is not an integer number of steps of dt = {dt}")
     inv_tol = 1e-9 * max(1.0, lam)
     delta, b, gamma, k0, km, m, tau = p.delta, p.b, p.gamma, p.k0, p.km, p.m, p.tau
 
@@ -261,7 +265,7 @@ def integrate_homogeneous_ode(
 
     dt_cur = float(dt)
     for halvings in range(21):
-        n = max(1, int(math.ceil(t_end / dt_cur - 1e-12)))
+        n = n_steps * 2**halvings
         U = [float(U0)]
         ok = True
         x = U[0]

@@ -292,6 +292,14 @@ class TestOde:
         data = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert len(data) == 11  # stride 1: every step plus t = 0
 
+    @pytest.mark.parametrize("t_end, dt", [("5", "0.03"), ("0.005", "0.01")])
+    def test_t_end_off_the_step_grid_exits_2(self, capsys, t_end, dt):
+        assert main(["ode", "--t-end", t_end, "--dt", dt]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        steps = f"t_end = {float(t_end)} is not an integer number of steps of dt = {float(dt)}"
+        assert out.err == f"parameter error: {steps}\n"
+
 
 class TestCheck:
     """The default flag values reproduce the hand-evaluated instance
@@ -923,6 +931,11 @@ def _sweep_rows(root):
     return [l.split() for l in read_lines(root / "sweep_summary.txt") if not l.startswith("#")]
 
 
+def _negative_entry(lines):
+    x, u, *rest = lines[-1].split()
+    return lines[:-1] + [" ".join([x, f"-{u}", *rest])]
+
+
 def test_sweep_exits_2_when_every_member_fails_at_set_up(tmp_path, capsys):
     ic = _snapshot(tmp_path, lambda lines: [l if l.startswith("#") else _drop_last_value(l) for l in lines])
     cfg = write_cfg(tmp_path, FILE_IC.format(path=ic))
@@ -935,6 +948,43 @@ def test_sweep_exits_2_when_every_member_fails_at_set_up(tmp_path, capsys):
         assert "has 8 rows of 3 values" in line
     assert len(err) == 2
     assert _sweep_rows(root) == [["3", "failed", "nan", "nan"], ["4", "failed", "nan", "nan"]]
+
+    # set-up errors that run finds, and the one above, read as simulate prints them
+    (tmp_path / "negative").mkdir()
+    negative = FILE_IC.format(path=_snapshot(tmp_path / "negative", _negative_entry))
+    cases = [
+        ("unreadable-ic", cfg, "model.d", ("3", "4"), "config error"),
+        ("negative-ic", write_cfg(tmp_path, negative, "neg.cfg"), "model.d", ("3", "4"), "parameter error"),
+        ("dt-off-t_end", write_cfg(tmp_path, QUICK, "quick.cfg"), "solver.dt", ("0.03", "0.07"), "config error"),
+    ]
+    for name, cfg, param, toks, kind in cases:
+        root = tmp_path / name
+        argv = ["sweep", "--config", str(cfg), "--param", param, "--values", ",".join(toks)]
+        assert main(argv + ["--out", str(root)]) == EXIT_CONFIG, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(toks), name
+        for tok, line in zip(toks, err):
+            member = root / f"{param}={tok}"
+            solo = ["simulate", "--config", str(member / "scenario.cfg"), "--out", str(member / "s")]
+            assert main(solo) == EXIT_CONFIG, name
+            message = capsys.readouterr().err.removeprefix(f"{kind}: ")
+            assert line + "\n" == f"{kind} in sweep member {param}={tok}: {message}", name
+        assert _sweep_rows(root) == [[tok, "failed", "nan", "nan"] for tok in toks], name
+
+
+@pytest.mark.parametrize("param, values", [("grid.n", "9,8"), ("solver.dt", "0.03,0.002")])
+def test_sweep_member_failing_set_up_first_spares_the_next(tmp_path, capsys, param, values):
+    # grid.n = 9 fails reading its IC, dt = 0.03 in run; each has a batch of its own
+    cfg = write_cfg(tmp_path, FILE_IC.format(path=_snapshot(tmp_path)))
+    root = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", param, "--values", values, "--out", str(root)]
+    assert main(argv) == EXIT_OK
+    bad, good = values.split(",")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error in sweep member {param}={bad}: ")
+    assert {row[0]: row[1] for row in _sweep_rows(root)} == {bad: "failed", good: "ok"}
+    assert summary_dict(root / f"{param}={good}" / "summary.txt")["status"] == "ok"
+    assert (root / f"{param}={good}" / "final_state.txt").exists()
 
 
 def test_sweep_member_set_up_failure_is_printed(tmp_path, capsys):

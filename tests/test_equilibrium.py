@@ -248,6 +248,17 @@ class TestWellMixedOde:
         with pytest.raises(ParameterError):
             integrate_homogeneous_ode(STD, 1.0, 0.5, t_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("t_end, dt", [(5.0, 0.03), (0.005, 0.01), (1.0, 0.3)])
+    def test_t_end_off_the_step_grid_rejected(self, t_end, dt):
+        with pytest.raises(ParameterError, match="not an integer number of steps"):
+            integrate_homogeneous_ode(STD, 1.0, 0.5, t_end=t_end, dt=dt)
+
+    def test_t_end_within_round_off_of_the_step_grid_kept(self):
+        # 0.3 / 0.1 = 2.9999999999999996 in floating point
+        traj = integrate_homogeneous_ode(STD, 1.0, 0.5, t_end=0.3, dt=0.1)
+        assert len(traj.t) == 4
+        assert traj.t[-1] == pytest.approx(0.3, rel=1e-15)
+
     def test_trajectory_is_dataclass_record(self):
         traj = integrate_homogeneous_ode(STD, 1.0, 0.5, t_end=0.5, dt=0.1)
         assert isinstance(traj, OdeTrajectory)

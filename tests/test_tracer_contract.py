@@ -1,9 +1,11 @@
-"""The benchmark tracer's contract with the package.
+"""The benchmark tracer's and probe's contract with the package.
 
 ``perfbench/spans.py`` wraps polarsim's public calls by looking them up by
 name, so renaming or removing one makes every traced benchmark run fail.
 Installing the tracer in a fresh interpreter and running a short traced
-simulation catches that in the test suite.
+simulation catches that in the test suite.  ``perfbench/probe.py`` ends the
+set-up phase of an untraced run at the first call of ``polarsim.cli.run``,
+so a scenario path that stops calling that name loses ``setup_s``.
 """
 
 import json
@@ -80,19 +82,30 @@ print(json.dumps({"code": code, "spans": collections.Counter(s[0] for s in rec.s
 """
 
 
-def traced_main(*argv) -> dict:
-    """Run the CLI under the benchmark tracer in a fresh interpreter."""
+def fresh_python(*args, check: bool) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this polarsim."""
     src = str(Path(polarsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(PERFBENCH), *map(str, argv)],
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
-        check=True,
+        check=check,
     )
+
+
+def traced_main(*argv) -> dict:
+    """Run the CLI under the benchmark tracer in a fresh interpreter."""
+    out = fresh_python("-c", SCRIPT, PERFBENCH, *argv, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def probed_main(report: Path, *argv) -> tuple[int, dict]:
+    """Run the CLI under the benchmark probe, untraced; its exit code and report."""
+    out = fresh_python(PERFBENCH / "probe.py", report, 0, 0, "--", *argv, check=False)
+    return out.returncode, json.loads(report.read_text())
 
 
 def test_tracer_installs_and_times_the_run_monitors(tmp_path):
@@ -127,3 +140,17 @@ def test_tracer_counts_the_reactions_of_a_halving_member(tmp_path):
     )
     assert result["code"] == 0
     assert result["spans"]["kinetics.reaction"] == 24
+
+
+def test_probe_marks_the_end_of_set_up(tmp_path):
+    cfg = tmp_path / "model1.cfg"
+    cfg.write_text(MODEL1)
+    argv = ["simulate", "--config", cfg, "--out", tmp_path / "out"]
+    code, report = probed_main(tmp_path / "simulate.json", *argv)
+    assert code == 0
+    assert report["first_run"] is not None
+    # t_end = 0.05 is no whole number of dt = 0.03 steps: the first member fails set-up
+    argv = ["sweep", "--config", cfg, "--param", "solver.dt", "--values", "0.03,0.01"]
+    code, report = probed_main(tmp_path / "sweep.json", *argv, "--out", tmp_path / "sweep")
+    assert code == 0
+    assert report["first_run"] is not None
