@@ -181,11 +181,13 @@ class _Scenario:
             write_snapshot(self.scn.out_dir / f"state_{idx:05d}.txt", state, self.scn.params, self.meta)
 
 
-def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int, dict]:
+def _write_outputs(
+    job: _Scenario, result: RunResult | SolverError, where: str | None
+) -> tuple[int, dict]:
     """Write all outputs of a finished run; returns (exit code, summary metrics).
 
     A solver failure keeps the partial diagnostics table and the last
-    recorded state.
+    recorded state, and is printed with ``where`` as :func:`_report` does.
     """
     scn, meta = job.scn, job.meta
     p = scn.params
@@ -198,7 +200,8 @@ def _write_outputs(job: _Scenario, result: RunResult | SolverError) -> tuple[int
             write_snapshot(out / "last_state.txt", result.partial_state, p, meta)
         metrics["status"] = f"failed: {result}"
         _write_summary(out / "summary.txt", meta, [("status", metrics["status"])])
-        print(f"run failed: {result}", file=sys.stderr)
+        kind = "run failed" if where is None else f"run failed in {where}"
+        print(f"{kind}: {result}", file=sys.stderr)
         return EXIT_RUNTIME, metrics
 
     records = result.records
@@ -304,7 +307,7 @@ def _run_scenarios(jobs: list[tuple[str | None, ScenarioConfig]]) -> list[tuple[
             try:
                 if not isinstance(outcome, (RunResult, SolverError)):
                     raise outcome  # a set-up error found by run
-                results[i] = _write_outputs(job, outcome)
+                results[i] = _write_outputs(job, outcome, jobs[i][0])
             except PolarsimError as exc:
                 results[i] = _report(exc, jobs[i][0]), {"status": f"failed: {exc}"}
     return results

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "A_of",
     "B_of",
     "balance_gap",
+    "bisect_root",
     "solve_equilibrium",
     "constant_a_equilibrium",
     "OdeTrajectory",
@@ -50,6 +52,10 @@ def _check_solvable(p: Model4Params, lam: float) -> None:
         raise EquilibriumError(
             f"balance equation needs b > 0 and delta > 0, got b={p.b}, delta={p.delta}"
         )
+    try:  # the refinement takes u**m, u < lam, on plain floats, where overflow raises
+        lam**p.m + p.km
+    except OverflowError:
+        raise EquilibriumError(f"lam^m or k^m overflows: lam={lam}, k={p.k}, m={p.m}") from None
 
 
 def A_of(p: Model4Params, lam: float, u):
@@ -79,11 +85,36 @@ def balance_gap(p: Model4Params, lam: float, u):
     return A_of(p, lam, u) - B_of(p, u)
 
 
-def _balance_gap_prime(p: Model4Params, lam: float, u: float) -> float:
-    km = p.km
-    dA = -lam * p.tau * p.delta / (p.b * (u - lam) ** 2)
-    dB = -p.gamma * km * p.m * u ** (p.m - 1.0) / (km + u**p.m) ** 2
-    return dA - dB
+def bisect_root(
+    fn: Callable[[float], float],
+    lo: float,
+    f_lo: float,
+    hi: float,
+    f_hi: float,
+    rel: float,
+    trace: list | None,
+) -> tuple[float, float, float, float]:
+    """Halve the sign-change bracket [lo, hi] of fn; returns (lo, f_lo, hi, f_hi).
+
+    Stops once hi - lo <= rel max(|lo|, |hi|) or lo and hi are adjacent
+    floats, or at an exact zero fn(mid) = 0, returned as lo = hi = mid.  Each
+    halving is appended to ``trace``, when given, as (iteration, lo, hi,
+    fn(mid)) with the bracket it halved.
+    """
+    it = 0
+    while hi - lo > rel * max(abs(lo), abs(hi)) and math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if trace is not None:
+            trace.append((it, lo, hi, f_mid))
+        if f_mid == 0.0:
+            return mid, f_mid, mid, f_mid
+        if (f_mid < 0.0) != (f_lo < 0.0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+        it += 1
+    return lo, f_lo, hi, f_hi
 
 
 @dataclass(frozen=True)
@@ -104,10 +135,10 @@ def solve_equilibrium(
     """Solve the homogeneous balance equation for total mass lam.
 
     Brackets the root of Phi = A - B by a sign-change audit on a uniform grid
-    of ``AUDIT_POINTS`` points over (0, lam), then refines by bisection
-    followed by a bracket-safeguarded Newton iteration.  Exactly one sign
-    change is required; zero or multiple sign changes are reported as errors
-    rather than silently resolved.
+    of ``AUDIT_POINTS`` points over (0, lam), then halves that bracket with
+    :func:`bisect_root` down to adjacent floats and returns the end with the
+    smaller |Phi|.  Exactly one sign change is required; zero or multiple
+    sign changes are reported as errors rather than silently resolved.
 
     Parameters
     ----------
@@ -117,7 +148,7 @@ def solve_equilibrium(
         Conserved total mass, positive.
     trace : list or None
         When a list is supplied, bisection iterations are appended to it as
-        (iteration, lo, hi, Phi(mid)) tuples.
+        (iteration, lo, hi, Phi(mid)) tuples, one per halving.
 
     Returns
     -------
@@ -146,55 +177,24 @@ def solve_equilibrium(
             f"{flips.size} sign changes of the balance gap on (0, {lam}) at {locs}; "
             "the uniqueness assumptions are violated for these parameters, refusing to guess"
         )
-    lo, hi = float(us[flips[0]]), float(us[flips[0] + 1])
-    glo = float(gaps[flips[0]])
+    tau, delta, b, gamma, k0, km, m = p.tau, p.delta, p.b, p.gamma, p.k0, p.km, p.m
 
-    for it in range(80):
-        mid = 0.5 * (lo + hi)
-        gm = float(balance_gap(p, lam, mid))
-        if trace is not None:
-            trace.append((it, lo, hi, gm))
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-        if hi - lo <= 1e-9 * max(lo, 1e-300):
-            break
+    def gap(u: float) -> float:
+        """balance_gap on a plain float, with its operations in the same order."""
+        return (
+            tau * delta / b + gamma + k0 + lam * tau * delta / (b * (u - lam))
+            - gamma * km / (km + u**m)
+        )
 
-    # Bracket-safeguarded Newton polish
-    u = 0.5 * (lo + hi)
-    for _ in range(60):
-        g = float(balance_gap(p, lam, u))
-        if g == 0.0:
-            break
-        dg = _balance_gap_prime(p, lam, u)
-        step = g / dg if dg != 0.0 else 0.0
-        u_new = u - step
-        if not (lo < u_new < hi) or step == 0.0:
-            u_new = 0.5 * (lo + hi)
-            g_new = float(balance_gap(p, lam, u_new))
-            if glo * g_new < 0:
-                hi = u_new
-            else:
-                lo, glo = u_new, g_new
-        else:
-            if glo * g < 0:
-                hi = u
-            else:
-                lo, glo = u, g
-        if abs(u_new - u) <= 1e-16 * max(abs(u), 1e-300):
-            u = u_new
-            break
-        u = u_new
-
-    u_star = float(u)
+    i = flips[0]
+    lo, g_lo, hi, g_hi = bisect_root(
+        gap, float(us[i]), float(gaps[i]), float(us[i + 1]), float(gaps[i + 1]), 0.0, trace
+    )
+    u_star = lo if abs(g_lo) <= abs(g_hi) else hi
     v_star = (lam - u_star) / p.tau
     residual = float(f_model4(p, u_star, v_star))
     res_scale = max(1.0, p.delta * lam)
-    if abs(residual) > 1e-10 * res_scale:
+    if not abs(residual) <= 1e-10 * res_scale:
         raise EquilibriumError(
             f"equilibrium refinement stalled: |f(u*, v*)| = {abs(residual):.3e} "
             f"exceeds tolerance {1e-10 * res_scale:.3e}"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import Grid
-from .equilibrium import HomogeneousEquilibrium, solve_equilibrium
+from .equilibrium import HomogeneousEquilibrium, bisect_root, solve_equilibrium
 from .kinetics import Model4Params, a_of_u, a_prime
 
 __all__ = [
@@ -164,8 +164,10 @@ def scan_degeneracy(
     The scanned parameter is one of D, lambda, delta; the equilibrium is
     re-solved at every sample.  Sample points where the equilibrium solve
     fails are logged and treated as gaps (no bracket may span them).  Each
-    sign change between adjacent valid samples is refined by bisection until
-    the bracket width falls below 1e-8 relative.
+    sign change between adjacent valid samples is refined by
+    :func:`~polarsim.equilibrium.bisect_root`, the equilibrium's refiner,
+    until the bracket width falls below ``SCAN_REFINE_REL`` relative; the
+    root is its midpoint.
     """
     if param not in _SCANNABLE:
         raise ParameterError(f"scan parameter must be one of {_SCANNABLE}, got {param!r}")
@@ -193,18 +195,9 @@ def scan_degeneracy(
         r0, r1 = rs[i], rs[i + 1]
         if not (np.isfinite(r0) and np.isfinite(r1)) or r0 * r1 > 0:
             continue
-        a_x, b_x = float(xs[i]), float(xs[i + 1])
-        ra = r0
-        while b_x - a_x > SCAN_REFINE_REL * max(abs(a_x), abs(b_x)):
-            m_x = 0.5 * (a_x + b_x)
-            rm = resid(m_x)
-            if rm == 0.0:
-                a_x = b_x = m_x
-                break
-            if ra * rm < 0:
-                b_x = m_x
-            else:
-                a_x, ra = m_x, rm
+        a_x, _, b_x, _ = bisect_root(
+            resid, float(xs[i]), float(r0), float(xs[i + 1]), float(r1), SCAN_REFINE_REL, None
+        )
         root = 0.5 * (a_x + b_x)
         reports.append(
             DegeneracyReport(

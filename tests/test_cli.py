@@ -270,6 +270,20 @@ class TestEquilibrium:
         assert rc == EXIT_CONFIG
         assert "lam" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--lam", "1e80"], ["--lam", "1e60", "--m", "3.5"], ["--lam", "1e100", "--m", "3.5"]]
+    )
+    def test_huge_mass_prints_a_root_or_one_error_line(self, capsys, flags):
+        # lam^m at or past the float range: a raised exception fails this test
+        rc = main(["equilibrium", *flags])
+        out = capsys.readouterr()
+        if rc == EXIT_OK:
+            residual = next(l for l in out.out.splitlines() if l.startswith("residual = "))
+            assert math.isfinite(float(residual.partition(" = ")[2]))
+        else:
+            assert rc in (EXIT_CONFIG, EXIT_RUNTIME)
+            assert len(out.err.splitlines()) == 1
+
 
 class TestOde:
     def test_stride_and_convergence(self, capsys):
@@ -573,6 +587,18 @@ class TestSweep:
         assert not (failed / "final_state.txt").exists()
         for delta in ("0.5", "1.5"):
             assert summary_dict(root / f"model.delta={delta}" / "summary.txt")["status"] == "ok"
+
+    def test_failed_run_names_its_member(self, tmp_path, capsys):
+        text = HALVING.format(grid="length = 1.0\nn = 16", scheme="imex-be", retry_limit=0)
+        cfg = write_cfg(tmp_path, text)
+        argv = ["sweep", "--config", str(cfg), "--param", "model.delta", "--values", "0.5,30,40"]
+        assert main(argv + ["--out", str(tmp_path / "sweep")]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert [line.partition(": ")[0] for line in err] == [
+            "run failed in sweep member model.delta=30",
+            "run failed in sweep member model.delta=40",
+        ]
+        assert all("negativity persisted" in line for line in err)
 
     @pytest.mark.parametrize(
         "values,message",

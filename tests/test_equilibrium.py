@@ -7,7 +7,9 @@ in-process through ``scipy.optimize.brentq`` so the numbers stay auditable.
 """
 
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from polarsim import Model4Params, constant_a_equilibrium, solve_equilibrium
+from polarsim import equilibrium
 from polarsim.equilibrium import (
     A_of,
     B_of,
     OdeTrajectory,
     balance_gap,
+    bisect_root,
     integrate_homogeneous_ode,
 )
 from polarsim.errors import EquilibriumError, ParameterError
@@ -159,6 +163,79 @@ class TestSolveEquilibrium:
         eq = solve_equilibrium(p, lam)
         assert 0.0 < eq.u_star < lam
         assert abs(mass_balance(p, lam, eq.u_star)) <= 1e-9 * max(1.0, delta * lam)
+
+
+def exact_gap(p: Model4Params, lam: float, u: float) -> Fraction:
+    """A(u) - B(u) in exact rational arithmetic on the float inputs; m must be an integer."""
+    tau, delta, b, gamma, k0, k, L, U = map(Fraction, (p.tau, p.delta, p.b, p.gamma, p.k0, p.k, lam, u))
+    km = k ** int(p.m)
+    A = tau * delta / b + gamma + k0 + L * tau * delta / (b * (U - L))
+    return A - gamma * km / (km + U ** int(p.m))
+
+
+def exact_root(p: Model4Params, lam: float) -> float:
+    """The float end of the adjacent-float bracket of the balance root, by exact signs."""
+    lo, hi = 0.0, lam * (1.0 - 1e-12)
+    assert exact_gap(p, lam, lo) > 0 > exact_gap(p, lam, hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        g = exact_gap(p, lam, mid)
+        if g == 0:
+            return mid
+        lo, hi = (mid, hi) if g > 0 else (lo, mid)
+    return lo
+
+
+class TestExactRoot:
+    def test_root_matches_exact_bracket_over_seeded_draws(self):
+        # sup a' < b gamma / k for m in {2, 3}, so lam <= tau delta k / (b gamma)
+        # makes the balance strictly decreasing in u: one root, found exactly
+        rng = random.Random(20201)
+        for _ in range(200):
+            p = Model4Params(
+                D=1.0,
+                tau=rng.uniform(0.5, 2.0),
+                b=rng.uniform(0.2, 2.0),
+                gamma=rng.uniform(0.2, 2.0),
+                k=rng.uniform(0.3, 3.0),
+                k0=rng.uniform(0.01, 1.0),
+                delta=rng.uniform(0.2, 2.0),
+                m=rng.choice((2.0, 3.0)),
+            )
+            lam = rng.uniform(0.05, 1.0) * p.tau * p.delta * p.k / (p.b * p.gamma)
+            root = exact_root(p, lam)
+            assert abs(solve_equilibrium(p, lam).u_star - root) <= 1e-12 * root, (p, lam)
+
+    def test_nan_residual_refused(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "f_model4", lambda p, u, v: math.nan)
+        with pytest.raises(EquilibriumError, match="stalled"):
+            solve_equilibrium(STD, 1.0)
+
+    @pytest.mark.parametrize("lam, m", [(1e100, 3.5), (2.0, 1100.0)])
+    def test_overflowing_power_refused(self, lam, m):
+        with pytest.raises(EquilibriumError, match="overflows"):
+            solve_equilibrium(replace(STD, m=m), lam)
+
+
+class TestBisectRoot:
+    def test_stops_at_adjacent_floats(self):
+        trace: list = []
+        lo, f_lo, hi, f_hi = bisect_root(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 0.0, trace)
+        assert math.nextafter(lo, hi) == hi
+        assert math.sqrt(2.0) in (lo, hi)
+        assert (f_lo, f_hi) == (lo * lo - 2.0, hi * hi - 2.0)
+        assert [row[0] for row in trace] == list(range(len(trace)))
+        assert trace[0] == (0, 1.0, 2.0, 0.25)
+
+    def test_exact_zero_ends_early(self):
+        trace: list = []
+        assert bisect_root(lambda x: x - 0.75, 0.0, -0.75, 1.0, 0.25, 0.0, trace) == (0.75, 0.0, 0.75, 0.0)
+        assert len(trace) == 2
+
+    def test_relative_width_stop(self):
+        lo, _, hi, _ = bisect_root(lambda x: x - 1.3, 1.0, -0.3, 2.0, 0.7, 1e-8, None)
+        assert hi - lo <= 1e-8 * hi < 2.0 * (hi - lo)
+        assert lo < 1.3 < hi
 
 
 def reference_ode(p, lam, U0, t_end, dt):

@@ -142,6 +142,18 @@ def test_tracer_counts_the_reactions_of_a_halving_member(tmp_path):
     assert result["spans"]["kinetics.reaction"] == 24
 
 
+def test_tracer_counts_the_scan_refinement():
+    # the README degeneracy in D: every sample and every halving of the
+    # bracket around D = 0.1003 goes through linearization.degeneracy_residual
+    result = traced_main(
+        "scan", "--param", "D", "--lo", "0.02", "--hi", "1.0", "--samples", "20",
+        "--k0", "0.05", "--delta", "0.22", "--length", "6.283185307179586",
+    )
+    assert result["code"] == 0
+    assert "equilibrium.solve_equilibrium" in result["spans"]
+    assert result["spans"]["linearization.degeneracy_residual"] > 20
+
+
 def test_probe_marks_the_end_of_set_up(tmp_path):
     cfg = tmp_path / "model1.cfg"
     cfg.write_text(MODEL1)
