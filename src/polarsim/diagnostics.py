@@ -341,9 +341,9 @@ class ConditionReport:
     note: str = ""
 
 
-def _require_mu2(mu2: float) -> None:
-    if not (mu2 > 0):
-        raise ParameterError(f"mu2 must be positive, got {mu2}")
+def _require_positive(name: str, val: float) -> None:
+    if not (0 < val < math.inf):
+        raise ParameterError(f"{name} must be positive and finite, got {val}")
 
 
 def check_coupling_condition(
@@ -357,7 +357,7 @@ def check_coupling_condition(
     differs in dimensions; both are evaluated and reported, the printed
     |xi| form decides ``satisfied``.
     """
-    _require_mu2(mu2)
+    _require_positive("mu2", mu2)
     rhs = p.tau**3 * (mu2 * p.D + p.delta)
     lhs = 2.0 * abs(p.xi) * p.a1
     alt_lhs = 2.0 * p.xi**2 * p.a1
@@ -387,11 +387,9 @@ def check_contraction_condition(
     never pins down numerically; it must be supplied (default 1) and is
     echoed in the report so no check silently depends on a hidden constant.
     """
-    _require_mu2(mu2)
-    if not (C4 > 0):
-        raise ParameterError(f"C4 must be positive, got {C4}")
-    if not (lam > 0):
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _require_positive("mu2", mu2)
+    _require_positive("C4", C4)
+    _require_positive("lam", lam)
     sup = alpha_sup(p)
     lhs = p.a1 * (1.0 + 1.0 / (2.0 * p.tau)) + (4.0 / p.D) * (sup * C4 * lam / mu2) ** 2
     rhs = 0.5 * (p.D * mu2 + p.delta)
@@ -422,9 +420,8 @@ def sufficient_sigma(p: Model4Params, mu2: float, C4: float = DEFAULT_C4) -> flo
     forced by the lam/mu2 pairing in the contraction term (a single 1/mu2
     would break the implication whenever mu2 < 1).
     """
-    _require_mu2(mu2)
-    if not (C4 > 0):
-        raise ParameterError(f"C4 must be positive, got {C4}")
+    _require_positive("mu2", mu2)
+    _require_positive("C4", C4)
     return max(
         2.0 * p.a1 * (1.0 + 1.0 / (2.0 * p.tau)),
         8.0 * (alpha_sup(p) * C4 / mu2) ** 2,
@@ -446,15 +443,14 @@ def check_sigma_condition(
     marked "user".  Satisfaction with the derived sigma implies the
     contraction condition (property-tested).
     """
-    _require_mu2(mu2)
-    if not (lam > 0):
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _require_positive("mu2", mu2)
+    _require_positive("C4", C4)
+    _require_positive("lam", lam)
     if sigma is None:
         sigma_val = sufficient_sigma(p, mu2, C4)
         source = "derived"
     else:
-        if not (sigma > 0):
-            raise ParameterError(f"sigma must be positive, got {sigma}")
+        _require_positive("sigma", sigma)
         sigma_val = float(sigma)
         source = "user"
     lhs = sigma_val * (1.0 + lam**2 / p.D)
@@ -575,8 +571,7 @@ def omega_limit_check(
     um = g.mean(state.u.values)
     vm = g.mean(state.v.values)
     mass_gap = abs(um + p.tau * vm - lam)
-    if not (lam > 0):
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _require_positive("lam", lam)
     if mass_gap > tol * lam:
         raise DiagnosticsError(
             f"mean state left the conserved-mass line: |u_mean + tau v_mean - lam| = "
@@ -636,8 +631,7 @@ def v_norm_sup(
     the conserved mass after an initial smoothing interval.  NaN when no
     record lies in the window.
     """
-    if not (lam > 0):
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _require_positive("lam", lam)
     vals = [norm / lam for t, norm in zip(times, v_norms) if t >= t_min]
     return max(vals) if vals else math.nan
 

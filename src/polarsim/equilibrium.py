@@ -30,6 +30,7 @@ __all__ = [
     "B_of",
     "balance_gap",
     "bisect_root",
+    "sample_roots",
     "solve_equilibrium",
     "constant_a_equilibrium",
     "OdeTrajectory",
@@ -56,6 +57,10 @@ def _check_solvable(p: Model4Params, lam: float) -> None:
         lam**p.m + p.km
     except OverflowError:
         raise EquilibriumError(f"lam^m or k^m overflows: lam={lam}, k={p.k}, m={p.m}") from None
+    if not math.isfinite(lam * p.tau * p.delta / p.b):  # A(u) would be inf - inf
+        raise EquilibriumError(
+            f"lam*tau*delta/b overflows: lam={lam}, tau={p.tau}, delta={p.delta}, b={p.b}"
+        )
 
 
 def A_of(p: Model4Params, lam: float, u):
@@ -91,18 +96,17 @@ def bisect_root(
     f_lo: float,
     hi: float,
     f_hi: float,
-    rel: float,
     trace: list | None,
 ) -> tuple[float, float, float, float]:
     """Halve the sign-change bracket [lo, hi] of fn; returns (lo, f_lo, hi, f_hi).
 
-    Stops once hi - lo <= rel max(|lo|, |hi|) or lo and hi are adjacent
-    floats, or at an exact zero fn(mid) = 0, returned as lo = hi = mid.  Each
-    halving is appended to ``trace``, when given, as (iteration, lo, hi,
-    fn(mid)) with the bracket it halved.
+    Stops once lo and hi are adjacent floats, or at an exact zero
+    fn(mid) = 0, returned as lo = hi = mid.  Each halving is appended to
+    ``trace``, when given, as (iteration, lo, hi, fn(mid)) with the bracket
+    it halved.
     """
     it = 0
-    while hi - lo > rel * max(abs(lo), abs(hi)) and math.nextafter(lo, hi) != hi:
+    while math.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if trace is not None:
@@ -115,6 +119,30 @@ def bisect_root(
             lo, f_lo = mid, f_mid
         it += 1
     return lo, f_lo, hi, f_hi
+
+
+def sample_roots(
+    fn: Callable[[float], float], xs: np.ndarray, fs: np.ndarray, trace: list | None = None
+) -> list[tuple[tuple[float, float], float, float]]:
+    """Every root of fn seen on the samples fs = fn(xs), as (bracket, root, fn(root)).
+
+    An exact-zero sample is a root of its own, with the bracket (x, x).  A
+    strict sign change between adjacent samples is halved by
+    :func:`bisect_root` down to adjacent floats, and the root is the end
+    with the smaller |fn|.  A NaN sample brackets nothing.  Roots come in
+    the order of xs; ``trace`` is passed to every :func:`bisect_root`.
+    """
+    signs = np.sign(fs)
+    roots = []
+    for i in np.flatnonzero((fs == 0.0) | np.append(signs[:-1] * signs[1:] < 0.0, False)):
+        x, f = float(xs[i]), float(fs[i])
+        if f == 0.0:
+            roots.append(((x, x), x, f))
+            continue
+        x1 = float(xs[i + 1])
+        lo, f_lo, hi, f_hi = bisect_root(fn, x, f, x1, float(fs[i + 1]), trace)
+        roots.append(((x, x1), *((lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi))))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -134,11 +162,11 @@ def solve_equilibrium(
 ) -> HomogeneousEquilibrium:
     """Solve the homogeneous balance equation for total mass lam.
 
-    Brackets the root of Phi = A - B by a sign-change audit on a uniform grid
-    of ``AUDIT_POINTS`` points over (0, lam), then halves that bracket with
-    :func:`bisect_root` down to adjacent floats and returns the end with the
-    smaller |Phi|.  Exactly one sign change is required; zero or multiple
-    sign changes are reported as errors rather than silently resolved.
+    Audits Phi = A - B on a uniform grid of ``AUDIT_POINTS`` points over
+    (0, lam) and reads its roots with :func:`sample_roots`: an exact-zero
+    sample, or a sign change halved down to adjacent floats whose end with
+    the smaller |Phi| is taken.  Exactly one root is required; none or
+    several are reported as errors rather than silently resolved.
 
     Parameters
     ----------
@@ -155,28 +183,6 @@ def solve_equilibrium(
     HomogeneousEquilibrium
     """
     _check_solvable(p, lam)
-    hi_end = lam * BRACKET_SHRINK
-    us = np.linspace(0.0, hi_end, AUDIT_POINTS)
-    gaps = balance_gap(p, lam, us)
-    signs = np.sign(gaps)
-    # Treat exact zeros as roots of their own
-    zero_hits = np.flatnonzero(gaps == 0.0)
-    if zero_hits.size:
-        u_star = float(us[zero_hits[0]])
-        v_star = (lam - u_star) / p.tau
-        return HomogeneousEquilibrium(lam, u_star, v_star, float(f_model4(p, u_star, v_star)))
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if flips.size == 0:
-        raise EquilibriumError(
-            f"no sign change of the balance gap on (0, {lam}); "
-            "check that k0 > 0 and the parameters are admissible"
-        )
-    if flips.size > 1:
-        locs = ", ".join(f"({us[i]:.6g}, {us[i + 1]:.6g})" for i in flips)
-        raise EquilibriumError(
-            f"{flips.size} sign changes of the balance gap on (0, {lam}) at {locs}; "
-            "the uniqueness assumptions are violated for these parameters, refusing to guess"
-        )
     tau, delta, b, gamma, k0, km, m = p.tau, p.delta, p.b, p.gamma, p.k0, p.km, p.m
 
     def gap(u: float) -> float:
@@ -186,11 +192,20 @@ def solve_equilibrium(
             - gamma * km / (km + u**m)
         )
 
-    i = flips[0]
-    lo, g_lo, hi, g_hi = bisect_root(
-        gap, float(us[i]), float(gaps[i]), float(us[i + 1]), float(gaps[i + 1]), 0.0, trace
-    )
-    u_star = lo if abs(g_lo) <= abs(g_hi) else hi
+    us = np.linspace(0.0, lam * BRACKET_SHRINK, AUDIT_POINTS)
+    roots = sample_roots(gap, us, balance_gap(p, lam, us), trace)
+    if not roots:
+        raise EquilibriumError(
+            f"no sign change of the balance gap on (0, {lam}); "
+            "check that k0 > 0 and the parameters are admissible"
+        )
+    if len(roots) > 1:
+        locs = ", ".join(f"({lo:.6g}, {hi:.6g})" for (lo, hi), _, _ in roots)
+        raise EquilibriumError(
+            f"{len(roots)} sign changes of the balance gap on (0, {lam}) at {locs}; "
+            "the uniqueness assumptions are violated for these parameters, refusing to guess"
+        )
+    u_star = roots[0][1]
     v_star = (lam - u_star) / p.tau
     residual = float(f_model4(p, u_star, v_star))
     res_scale = max(1.0, p.delta * lam)
@@ -246,10 +261,10 @@ def integrate_homogeneous_ode(
     restarted with dt halved, up to 20 times.  The potential G (antiderivative
     of the right side) is recorded at every step.
     """
-    if not (0.0 <= U0 <= lam):
-        raise ParameterError(f"U0 must lie in [0, lam] = [0, {lam}], got {U0}")
-    if dt <= 0 or t_end <= 0:
-        raise ParameterError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
+    if not (0.0 <= U0 <= lam < math.inf):
+        raise ParameterError(f"U0 must lie in [0, lam] with lam finite, got U0={U0}, lam={lam}")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ParameterError(f"dt and t_end must be positive and finite, got dt={dt}, t_end={t_end}")
     n_steps = max(1, round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-8 * t_end:
         raise ParameterError(f"t_end = {t_end} is not an integer number of steps of dt = {dt}")

@@ -91,15 +91,15 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.counts
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.counts))
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(L / (n - 1) for L, n in zip(self.lengths, self.counts))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 

@@ -55,6 +55,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def _require_finite(p) -> None:
+    for f in fields(p):
+        val = getattr(p, f.name)
+        _require(math.isfinite(val), f"{f.name} must be finite, got {val}")
+
+
 @dataclass(frozen=True)
 class Model1Params:
     """Kinetics f(u, v) = -a u/(u^2 + b) + k v."""
@@ -66,6 +72,7 @@ class Model1Params:
     k: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.D > 0, f"D must be positive, got {self.D}")
         _require(self.tau > 0, f"tau must be positive, got {self.tau}")
         _require(self.a > 0, f"a must be positive, got {self.a}")
@@ -91,6 +98,7 @@ class Model2Params:
     alpha2: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.D > 0, f"D must be positive, got {self.D}")
         _require(self.tau > 0, f"tau must be positive, got {self.tau}")
         _require(abs(self.tau - 1.0) > 1e-12, f"tau must differ from 1, got {self.tau}")
@@ -127,6 +135,7 @@ class Model4Params:
     m: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.D > 0, f"D must be positive, got {self.D}")
         _require(self.tau > 0, f"tau must be positive, got {self.tau}")
         _require(self.b >= 0, f"b must be nonnegative, got {self.b}")

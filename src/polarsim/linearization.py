@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PolarsimError
 from .grid import Grid
-from .equilibrium import HomogeneousEquilibrium, bisect_root, solve_equilibrium
+from .equilibrium import HomogeneousEquilibrium, sample_roots, solve_equilibrium
 from .kinetics import Model4Params, a_of_u, a_prime
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 NEUTRAL_TOL = 1e-12
-SCAN_REFINE_REL = 1e-8
 
 
 def _trace_det(M: np.ndarray) -> tuple[float, float]:
@@ -137,7 +136,7 @@ def degeneracy_residual(
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """A bracketed sign change of the degeneracy residual along a scan."""
+    """A root of the degeneracy residual along a scan, in its sample bracket."""
 
     j: int
     param: str
@@ -162,17 +161,18 @@ def scan_degeneracy(
     """Scan the degeneracy residual over one parameter and bracket its roots.
 
     The scanned parameter is one of D, lambda, delta; the equilibrium is
-    re-solved at every sample.  Sample points where the equilibrium solve
-    fails are logged and treated as gaps (no bracket may span them).  Each
-    sign change between adjacent valid samples is refined by
-    :func:`~polarsim.equilibrium.bisect_root`, the equilibrium's refiner,
-    until the bracket width falls below ``SCAN_REFINE_REL`` relative; the
-    root is its midpoint.
+    re-solved at every sample.  A sample that raises a polarsim error (an
+    equilibrium solve that fails) is logged and left a gap no bracket spans.
+    The roots are those :func:`~polarsim.equilibrium.sample_roots` reads off
+    the samples, as the equilibrium's audit does: each refined to adjacent
+    floats, whose end with the smaller |residual| is taken.
     """
     if param not in _SCANNABLE:
         raise ParameterError(f"scan parameter must be one of {_SCANNABLE}, got {param!r}")
-    if not (0 < lo < hi):
-        raise ParameterError(f"scan range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not (0 < lo < hi < math.inf):
+        raise ParameterError(f"scan range must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+    if not (0 < lam < math.inf):
+        raise ParameterError(f"total mass lam must be positive and finite, got {lam}")
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
 
@@ -186,29 +186,10 @@ def scan_degeneracy(
     for i, x in enumerate(xs):
         try:
             rs[i] = resid(float(x))
-        except Exception as exc:  # per-point failure: record, keep scanning
+        except PolarsimError as exc:  # per-point failure: record, keep scanning
             logger.warning("degeneracy scan: %s = %.6g failed: %s", param, x, exc)
             rs[i] = np.nan
-
-    reports: list[DegeneracyReport] = []
-    for i in range(samples - 1):
-        r0, r1 = rs[i], rs[i + 1]
-        if not (np.isfinite(r0) and np.isfinite(r1)) or r0 * r1 > 0:
-            continue
-        a_x, _, b_x, _ = bisect_root(
-            resid, float(xs[i]), float(r0), float(xs[i + 1]), float(r1), SCAN_REFINE_REL, None
-        )
-        root = 0.5 * (a_x + b_x)
-        reports.append(
-            DegeneracyReport(
-                j=j,
-                param=param,
-                bracket=(float(xs[i]), float(xs[i + 1])),
-                root=root,
-                residual_at_root=resid(root),
-            )
-        )
-    return reports
+    return [DegeneracyReport(j, param, *entry) for entry in sample_roots(resid, xs, rs)]
 
 
 def linearized_operator_matrix(p: Model4Params, lam: float, g: Grid) -> np.ndarray:

@@ -82,10 +82,10 @@ class SolverConfig:
         object.__setattr__(self, "scheme", str(self.scheme).lower())
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (self.t_end > 0):
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is not None and not (self.dt > 0):
-            raise ConfigError(f"dt must be positive when given, got {self.dt}")
+        if not (0 < self.t_end < math.inf):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and not (0 < self.dt < math.inf):
+            raise ConfigError(f"dt must be positive and finite when given, got {self.dt}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.retry_limit < 0:

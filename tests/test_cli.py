@@ -5,6 +5,7 @@ stdout/stderr can be asserted directly; output-file determinism is checked
 byte-for-byte.  Only the import-cost check starts a fresh interpreter.
 """
 
+import argparse
 import dataclasses
 import math
 import os
@@ -283,6 +284,13 @@ class TestEquilibrium:
         else:
             assert rc in (EXIT_CONFIG, EXIT_RUNTIME)
             assert len(out.err.splitlines()) == 1
+
+    def test_overflowing_balance_is_one_error_line(self, capsys):
+        # tau delta overflows a float: numpy would warn on inf - inf in the audit
+        assert main(["equilibrium", "--tau", "1e300", "--delta", "1e10"]) == EXIT_RUNTIME
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: lam*tau*delta/b overflows") and len(out.err.splitlines()) == 1
 
 
 class TestOde:
@@ -625,6 +633,35 @@ class TestSweep:
         )
         assert rc == EXIT_CONFIG
         assert "section.key" in capsys.readouterr().err
+
+
+# a succeeding invocation of each command that takes float flags, kept short
+FLOAT_FLAG_COMMANDS = {
+    "equilibrium": ["equilibrium"],
+    "ode": ["ode", "--t-end", "1"],
+    "check": ["check"],
+    "scan": ["scan", "--param", "D", "--lo", "0.1", "--hi", "1", "--samples", "5"],
+}
+
+
+def _float_flags(command):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type is float]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "command, flag", [(cmd, flag) for cmd in FLOAT_FLAG_COMMANDS for flag in _float_flags(cmd)]
+)
+def test_non_finite_float_flag_is_one_error_line(capsys, command, flag, value):
+    assert main(FLOAT_FLAG_COMMANDS[command] + [f"{flag}={value}"]) in (EXIT_CONFIG, EXIT_RUNTIME)
+    out = capsys.readouterr()
+    assert len(out.err.splitlines()) == 1, out.err
+
+
+@pytest.mark.parametrize("command", FLOAT_FLAG_COMMANDS)
+def test_float_flag_base_commands_succeed(capsys, command):
+    assert main(FLOAT_FLAG_COMMANDS[command]) == EXIT_OK
 
 
 class TestArgparseBehavior:

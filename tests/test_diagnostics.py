@@ -114,6 +114,29 @@ class TestConditionArithmetic:
         with pytest.raises(ParameterError):
             check_sigma_condition(P4, lam=1.0, mu2=MU2, sigma=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_are_refused(self, bad):
+        calls = {
+            "mu2": [
+                lambda: check_coupling_condition(P4, bad),
+                lambda: check_contraction_condition(P4, 1.0, bad),
+                lambda: check_sigma_condition(P4, 1.0, bad),
+            ],
+            "lam": [
+                lambda: check_contraction_condition(P4, bad, MU2),
+                lambda: check_sigma_condition(P4, bad, MU2),
+            ],
+            "C4": [
+                lambda: check_contraction_condition(P4, 1.0, MU2, C4=bad),
+                lambda: check_sigma_condition(P4, 1.0, MU2, C4=bad),
+            ],
+            "sigma": [lambda: check_sigma_condition(P4, 1.0, MU2, sigma=bad)],
+        }
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ParameterError, match=name):
+                    fn()
+
     @given(
         D=st.floats(min_value=0.1, max_value=10.0),
         tau=st.floats(min_value=0.3, max_value=3.0),

@@ -26,6 +26,7 @@ from polarsim.equilibrium import (
     balance_gap,
     bisect_root,
     integrate_homogeneous_ode,
+    sample_roots,
 )
 from polarsim.errors import EquilibriumError, ParameterError
 from polarsim.kinetics import ode_rhs_model4
@@ -216,11 +217,28 @@ class TestExactRoot:
         with pytest.raises(EquilibriumError, match="overflows"):
             solve_equilibrium(replace(STD, m=m), lam)
 
+    def test_overflowing_balance_refused(self):
+        # tau delta = inf would make the audit's gaps inf - inf
+        with pytest.raises(EquilibriumError, match="overflows"):
+            solve_equilibrium(replace(STD, tau=1e300, delta=1e10), 1.0)
+
+    def test_exact_zero_sample_counts_toward_uniqueness(self, monkeypatch):
+        real = equilibrium.balance_gap
+
+        def with_zero(p, lam, u):
+            gaps = real(p, lam, u)
+            gaps[-10] = 0.0  # far above the one sign change near u = 0.099
+            return gaps
+
+        monkeypatch.setattr(equilibrium, "balance_gap", with_zero)
+        with pytest.raises(EquilibriumError, match="2 sign changes"):
+            solve_equilibrium(STD, 1.0)
+
 
 class TestBisectRoot:
     def test_stops_at_adjacent_floats(self):
         trace: list = []
-        lo, f_lo, hi, f_hi = bisect_root(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 0.0, trace)
+        lo, f_lo, hi, f_hi = bisect_root(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, trace)
         assert math.nextafter(lo, hi) == hi
         assert math.sqrt(2.0) in (lo, hi)
         assert (f_lo, f_hi) == (lo * lo - 2.0, hi * hi - 2.0)
@@ -229,13 +247,35 @@ class TestBisectRoot:
 
     def test_exact_zero_ends_early(self):
         trace: list = []
-        assert bisect_root(lambda x: x - 0.75, 0.0, -0.75, 1.0, 0.25, 0.0, trace) == (0.75, 0.0, 0.75, 0.0)
+        assert bisect_root(lambda x: x - 0.75, 0.0, -0.75, 1.0, 0.25, trace) == (0.75, 0.0, 0.75, 0.0)
         assert len(trace) == 2
 
-    def test_relative_width_stop(self):
-        lo, _, hi, _ = bisect_root(lambda x: x - 1.3, 1.0, -0.3, 2.0, 0.7, 1e-8, None)
-        assert hi - lo <= 1e-8 * hi < 2.0 * (hi - lo)
-        assert lo < 1.3 < hi
+
+def no_call(x):
+    raise AssertionError(f"fn called at {x}")
+
+
+class TestSampleRoots:
+    @pytest.mark.parametrize("fs", [[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    def test_zero_sample_is_one_root(self, fs):
+        assert sample_roots(no_call, np.array([0.0, 1.0, 2.0]), np.array(fs)) == [((1.0, 1.0), 1.0, 0.0)]
+
+    def test_nan_sample_splits_a_sign_change(self):
+        assert sample_roots(no_call, np.array([0.0, 1.0, 2.0]), np.array([-1.0, math.nan, 1.0])) == []
+
+    def test_sign_change_is_refined_to_adjacent_floats(self):
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        trace: list = []
+        [(bracket, root, f_root)] = sample_roots(lambda x: x * x - 2.0, xs, xs * xs - 2.0, trace)
+        assert bracket == (1.0, 2.0) and trace[0] == (0, 1.0, 2.0, 0.25)
+        lo, f_lo, hi, f_hi = bisect_root(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, None)
+        assert (root, f_root) == min((lo, f_lo), (hi, f_hi), key=lambda end: abs(end[1]))
+
+    def test_zeros_and_sign_changes_in_sample_order(self):
+        xs = np.array([-2.0, -1.0, 0.5, 2.0])
+        (b0, r0, _), (b1, r1, _) = sample_roots(lambda x: x * x * x - x, xs, xs**3 - xs)
+        assert (b0, r0) == ((-1.0, -1.0), -1.0)
+        assert b1 == (0.5, 2.0) and abs(r1 - 1.0) <= 2.3e-16
 
 
 def reference_ode(p, lam, U0, t_end, dt):
@@ -324,6 +364,13 @@ class TestWellMixedOde:
             integrate_homogeneous_ode(STD, 1.0, 1.5, t_end=1.0, dt=0.1)
         with pytest.raises(ParameterError):
             integrate_homogeneous_ode(STD, 1.0, 0.5, t_end=1.0, dt=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_rejected(self, bad):
+        args = dict(lam=1.0, U0=0.5, t_end=1.0, dt=0.1)
+        for name in args:
+            with pytest.raises(ParameterError, match=f"{name}.* finite"):
+                integrate_homogeneous_ode(STD, **{**args, name: bad})
 
     @pytest.mark.parametrize("t_end, dt", [(5.0, 0.03), (0.005, 0.01), (1.0, 0.3)])
     def test_t_end_off_the_step_grid_rejected(self, t_end, dt):

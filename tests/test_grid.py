@@ -342,6 +342,11 @@ class TestGridAndFieldValidation:
         with pytest.raises(ParameterError):
             Grid.rectangle(1.0, -2.0, 5, 5)
 
+    def test_cached_geometry_keeps_equality_and_hash(self):
+        g, fresh = Grid.rectangle(2.0, 3.0, 5, 7), Grid.rectangle(2.0, 3.0, 5, 7)
+        assert (g.volume, g.spacings, g.n_nodes) == (6.0, (0.5, 0.5), 35)
+        assert g == fresh and hash(g) == hash(fresh)
+
     def test_field_shape_mismatch(self):
         g = Grid.interval(1.0, 8)
         with pytest.raises(GridMismatchError):

@@ -63,6 +63,17 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             Model4Params(**base)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_are_refused(self, bad):
+        for cls, base in (
+            (Model1Params, dict(D=1.0, tau=1.0, a=1.0, b=1.0, k=1.0)),
+            (Model2Params, dict(D=0.5, tau=2.0, alpha1=1.0, alpha2=1.0)),
+            (Model4Params, dict(D=1.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0, m=2.0)),
+        ):
+            for name in base:
+                with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                    cls(**{**base, name: bad})
+
     def test_model4_error_names_the_field(self):
         with pytest.raises(ParameterError, match="delta"):
             Model4Params(D=1.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=-1.0)

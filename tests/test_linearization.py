@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from polarsim import Grid, Model4Params, solve_equilibrium
+from polarsim import Grid, Model4Params, linearization, solve_equilibrium
 from polarsim.errors import EquilibriumError, ParameterError
 from polarsim.grid import discrete_neumann_eigenvalue
 from polarsim.kinetics import a_of_u, a_prime, ode_rhs_model4
@@ -34,7 +34,7 @@ from polarsim.linearization import (
 
 # Instance with a single degeneracy in D on the second mode of [0, 2 pi]
 # (continuum mu_2 = 1/4).  The root below was frozen from a long bisection
-# of the residual; the scan must reproduce it to its own refinement width.
+# of the residual; the scan must reproduce it to 1e-6 relative.
 SCAN_P = Model4Params(D=1.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.05, delta=0.22)
 SCAN_MU2 = 0.25
 SCAN_ROOT_D = 0.10030329819881556
@@ -242,6 +242,15 @@ class TestDegeneracyResidual:
             linearized_operator_matrix(SCAN_P, 1.0, Grid.interval(1.0, 6000))
 
 
+def assert_adjacent_float_root(resid, rep):
+    """rep.root is the end with the smaller |resid| of adjacent floats around a sign change."""
+    r = rep.residual_at_root
+    assert r == resid(rep.root)
+    if r != 0.0:
+        others = [resid(math.nextafter(rep.root, to)) for to in (-math.inf, math.inf)]
+        assert any((o < 0.0) != (r < 0.0) and abs(r) <= abs(o) for o in others)
+
+
 class TestScanDegeneracy:
     def test_frozen_root_in_D(self):
         reports = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80)
@@ -251,6 +260,14 @@ class TestScanDegeneracy:
         assert rep.root == pytest.approx(SCAN_ROOT_D, rel=1e-6)
         assert abs(rep.residual_at_root) <= 1e-6 * (rep.root * SCAN_MU2 + SCAN_P.delta)
         assert rep.bracket[0] <= rep.root <= rep.bracket[1]
+        assert_adjacent_float_root(lambda x: degeneracy_residual(replace(SCAN_P, D=x), 1.0, 2, SCAN_MU2), rep)
+
+    def test_root_does_not_depend_on_the_sample_grid(self):
+        # the README scan and the range a seeded benchmark study draws
+        readme = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.02, 1.0, 200)
+        study = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.0434, 0.997, 200)
+        assert readme[0].bracket != study[0].bracket
+        assert (readme[0].root, readme[0].residual_at_root) == (study[0].root, study[0].residual_at_root)
 
     def test_root_matches_brentq(self):
         reports = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80)
@@ -274,6 +291,7 @@ class TestScanDegeneracy:
                 xtol=1e-14,
             )
             assert rep.root == pytest.approx(ref, rel=1e-7)
+            assert_adjacent_float_root(lambda x: degeneracy_residual(p, x, 2, SCAN_MU2), rep)
         assert reports[0].root < reports[1].root
 
     def test_flat_activation_scan_is_empty(self):
@@ -295,6 +313,25 @@ class TestScanDegeneracy:
         assert isinstance(reports, list)
         assert any("failed" in rec.message for rec in caplog.records)
 
+    def test_failed_sample_is_a_gap_and_other_errors_propagate(self, monkeypatch, caplog):
+        real = linearization.degeneracy_residual
+        want = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80)
+
+        def failing_at_hi(exc):
+            def resid(p, lam, j, mu_j, eq=None):
+                if p.D == 2.0:
+                    raise exc
+                return real(p, lam, j, mu_j, eq)
+            return resid
+
+        monkeypatch.setattr(linearization, "degeneracy_residual", failing_at_hi(EquilibriumError("no root")))
+        with caplog.at_level("WARNING", logger="polarsim.linearization"):
+            assert scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80) == want
+        assert any("no root" in rec.message for rec in caplog.records)
+        monkeypatch.setattr(linearization, "degeneracy_residual", failing_at_hi(TypeError("bug")))
+        with pytest.raises(TypeError, match="bug"):
+            scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             scan_degeneracy(SCAN_P, 1.0, 2, 0.25, "tau", 0.1, 1.0, 10)
@@ -302,3 +339,8 @@ class TestScanDegeneracy:
             scan_degeneracy(SCAN_P, 1.0, 2, 0.25, "D", 1.0, 0.1, 10)
         with pytest.raises(ParameterError):
             scan_degeneracy(SCAN_P, 1.0, 2, 0.25, "D", 0.1, 1.0, 1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="range"):
+                scan_degeneracy(SCAN_P, 1.0, 2, 0.25, "D", 0.1, bad, 10)
+            with pytest.raises(ParameterError, match="lam"):
+                scan_degeneracy(SCAN_P, bad, 2, 0.25, "D", 0.1, 1.0, 10)

@@ -59,6 +59,11 @@ class TestSolverConfig:
             SolverConfig(t_end=1.0, stride=0)
         with pytest.raises(ConfigError):
             SolverConfig(t_end=1.0, retry_limit=-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="t_end"):
+                SolverConfig(t_end=bad)
+            with pytest.raises(ConfigError, match="dt"):
+                SolverConfig(t_end=1.0, dt=bad)
 
     def test_scheme_case_insensitive(self):
         assert SolverConfig(t_end=1.0, scheme="IMEX-BE").scheme == "imex-be"
