@@ -172,13 +172,17 @@ class _Scenario:
             "seed": "none" if scn.seed is None else str(scn.seed),
         }
         self.record_index = 0
+        self.write_error: ConfigError | None = None  # a snapshot that could not be written
 
     def on_record(self, state, rec) -> None:
         idx = self.record_index
         self.record_index += 1
         every = self.scn.snapshot_every
-        if every > 0 and idx % every == 0:
-            write_snapshot(self.scn.out_dir / f"state_{idx:05d}.txt", state, self.scn.params, self.meta)
+        if every > 0 and idx % every == 0 and self.write_error is None:
+            try:
+                write_snapshot(self.scn.out_dir / f"state_{idx:05d}.txt", state, self.scn.params, self.meta)
+            except ConfigError as exc:  # ends this scenario only, not its batch
+                self.write_error = exc
 
 
 def _write_outputs(
@@ -307,6 +311,8 @@ def _run_scenarios(jobs: list[tuple[str | None, ScenarioConfig]]) -> list[tuple[
             try:
                 if not isinstance(outcome, (RunResult, SolverError)):
                     raise outcome  # a set-up error found by run
+                if job.write_error is not None:
+                    raise job.write_error
                 results[i] = _write_outputs(job, outcome, jobs[i][0])
             except PolarsimError as exc:
                 results[i] = _report(exc, jobs[i][0]), {"status": f"failed: {exc}"}

@@ -15,6 +15,7 @@ so they hold verbatim for the normalized quantities.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -346,6 +347,27 @@ def _require_positive(name: str, val: float) -> None:
         raise ParameterError(f"{name} must be positive and finite, got {val}")
 
 
+def _finite_sides(name: str):
+    """Refuse a verdict whose sides leave the float range: ParameterError, not a report on inf."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def checked(*args, **kwargs) -> ConditionReport:
+            try:
+                r = check(*args, **kwargs)
+            except OverflowError:  # a float power out of range
+                r = None
+            sides = () if r is None else (r.lhs, r.rhs, r.alt_lhs, r.sigma)
+            if r is None or not all(math.isfinite(x) for x in sides if x is not None):
+                raise ParameterError(f"the {name} condition overflows the float range for these parameters")
+            return r
+
+        return checked
+
+    return wrap
+
+
+@_finite_sides("coupling")
 def check_coupling_condition(
     p: Model4Params, mu2: float, mu2_mode: str = "continuum"
 ) -> ConditionReport:
@@ -374,6 +396,7 @@ def check_coupling_condition(
     )
 
 
+@_finite_sides("contraction")
 def check_contraction_condition(
     p: Model4Params,
     lam: float,
@@ -428,6 +451,7 @@ def sufficient_sigma(p: Model4Params, mu2: float, C4: float = DEFAULT_C4) -> flo
     )
 
 
+@_finite_sides("sigma")
 def check_sigma_condition(
     p: Model4Params,
     lam: float,

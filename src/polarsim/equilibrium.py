@@ -53,14 +53,25 @@ def _check_solvable(p: Model4Params, lam: float) -> None:
         raise EquilibriumError(
             f"balance equation needs b > 0 and delta > 0, got b={p.b}, delta={p.delta}"
         )
+    _check_hill(p, lam)
+    try:  # A(u) is largest in size at the audit's last sample, next to its pole at lam
+        pole = lam * p.tau * p.delta / (p.b * (lam * BRACKET_SHRINK - lam))
+    except ZeroDivisionError:
+        pole = -math.inf
+    if not math.isfinite(pole):  # A(u) would be inf, or inf - inf
+        raise EquilibriumError(
+            f"lam*tau*delta/b overflows near the pole: lam={lam}, tau={p.tau}, delta={p.delta}, b={p.b}"
+        )
+
+
+def _check_hill(p: Model4Params, lam: float) -> None:
+    """The Hill term u^m/(k^m + u^m) on [0, lam] must stay in the float range."""
     try:  # the refinement takes u**m, u < lam, on plain floats, where overflow raises
         lam**p.m + p.km
     except OverflowError:
         raise EquilibriumError(f"lam^m or k^m overflows: lam={lam}, k={p.k}, m={p.m}") from None
-    if not math.isfinite(lam * p.tau * p.delta / p.b):  # A(u) would be inf - inf
-        raise EquilibriumError(
-            f"lam*tau*delta/b overflows: lam={lam}, tau={p.tau}, delta={p.delta}, b={p.b}"
-        )
+    if p.km == 0.0:  # the Hill term at u = 0 would be 0/0
+        raise EquilibriumError(f"k^m underflows to 0: k={p.k}, m={p.m}")
 
 
 def A_of(p: Model4Params, lam: float, u):
@@ -265,6 +276,9 @@ def integrate_homogeneous_ode(
         raise ParameterError(f"U0 must lie in [0, lam] with lam finite, got U0={U0}, lam={lam}")
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ParameterError(f"dt and t_end must be positive and finite, got dt={dt}, t_end={t_end}")
+    if not math.isfinite(t_end / dt):
+        raise ParameterError(f"t_end / dt is not a finite step count: t_end={t_end}, dt={dt}")
+    _check_hill(p, lam)
     n_steps = max(1, round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-8 * t_end:
         raise ParameterError(f"t_end = {t_end} is not an integer number of steps of dt = {dt}")
@@ -290,13 +304,14 @@ def integrate_homogeneous_ode(
                 k2 = rhs(x + 0.5 * dt_cur * k1)
                 k3 = rhs(x + 0.5 * dt_cur * k2)
                 k4 = rhs(x + dt_cur * k3)
-            except ParameterError:
-                # A stage argument escaped u >= 0; same remedy as a step
-                # that leaves [0, lam]: restart with a smaller dt.
+            except (ParameterError, OverflowError):
+                # A stage argument escaped u >= 0 or its power the float
+                # range; same remedy as a step that leaves [0, lam]:
+                # restart with a smaller dt.
                 ok = False
                 break
             x = x + dt_cur / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if x < -inv_tol or x > lam + inv_tol:
+            if not -inv_tol <= x <= lam + inv_tol:  # also a NaN step
                 ok = False
                 break
             U.append(x)

@@ -70,6 +70,9 @@ class Grid:
         for ax, n in enumerate(counts):
             if n < 3:
                 raise ParameterError(f"grid needs at least 3 nodes per axis, got {n} on axis {ax}")
+        for ax, h in enumerate(self.spacings):  # the Laplacian divides by h^2
+            if not (h * h > 0.0 and 1.0 / (h * h) < math.inf):
+                raise ParameterError(f"grid spacing along axis {ax} is too small, got {h}")
 
     @classmethod
     def interval(cls, length: float, n: int) -> "Grid":
@@ -284,11 +287,13 @@ def neumann_eigenvalue(g: Grid, j: int) -> float:
     """
     if j < 1:
         raise ParameterError(f"eigenvalue index must be >= 1, got {j}")
-    # The j smallest sums only ever involve indices <= j.
-    vals = sorted(
-        sum((p * math.pi / L) ** 2 for p, L in zip(ps, g.lengths))
-        for ps in itertools.product(range(j + 1), repeat=g.dim)
-    )
+    try:  # the j smallest sums only ever involve indices <= j
+        vals = sorted(
+            sum((p * math.pi / L) ** 2 for p, L in zip(ps, g.lengths))
+            for ps in itertools.product(range(j + 1), repeat=g.dim)
+        )
+    except OverflowError:
+        raise ParameterError(f"Neumann eigenvalue {j} overflows on lengths {g.lengths}") from None
     return vals[j - 1]
 
 

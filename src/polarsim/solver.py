@@ -34,6 +34,7 @@ Snapshots are tables of :mod:`polarsim.tables`, read back by ``file`` ICs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -320,6 +321,8 @@ class _Member:
         self.p = p
         self.lam0 = g.mean(u0.values + p.tau * v0.values)
         self.dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
+        if not math.isfinite(cfg.t_end / self.dt):
+            raise ConfigError(f"t_end / dt is not a finite step count: t_end = {cfg.t_end}, dt = {self.dt}")
         self.n_steps = max(1, int(round(cfg.t_end / self.dt)))
         if abs(self.n_steps * self.dt - cfg.t_end) > 1e-8 * cfg.t_end:
             raise ConfigError(
@@ -501,17 +504,18 @@ def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict
     header = sorted(meta.items())
     if "model" not in meta:
         header.append(("model", model_name(p)))
-    # each coordinate is formatted once; its string is repeated down its column
+    # each coordinate is formatted once and its string repeated down its
+    # column: the outermost axis as it is read, an inner one cycled
     coords = []
     for ax, c in enumerate(g.coords()):
-        inner = math.prod(g.counts[ax + 1 :])
-        column = [s for s in map(tables.fmt, c.tolist()) for _ in range(inner)]
-        coords.append(column * math.prod(g.counts[:ax]))
-    values = (state.u.values, state.v.values, transform_w(state, p).values)
-    rows = tables.format_rows(np.column_stack([c.ravel() for c in values]), lead=coords)
+        inner = itertools.repeat(math.prod(g.counts[ax + 1 :]))
+        strings = map(tables.fmt, c)
+        strings = strings if ax == 0 else itertools.cycle(strings)
+        coords.append(itertools.chain.from_iterable(map(itertools.repeat, strings, inner)))
+    values = [f.values.ravel() for f in (state.u, state.v, transform_w(state, p))]
     columns = ("x", "y")[: g.dim] + ("u", "v", "w")
     meta_lines = [*header, ("t", tables.fmt(state.t)), ("grid", spec)]
-    tables.write_table(path, "snapshot", meta_lines, columns, rows)
+    tables.write_table(path, "snapshot", meta_lines, columns, tables.row_blocks(values, coords))
 
 
 def read_snapshot(path: str | Path) -> tuple[float, Grid, np.ndarray, np.ndarray]:

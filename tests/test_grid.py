@@ -326,6 +326,11 @@ class TestEigenvalues:
         with pytest.raises(ParameterError):
             discrete_neumann_eigenvalue(g, 10)
 
+    def test_eigenvalue_past_the_float_range_is_refused(self):
+        g = Grid.interval(2.1e-154, 3)  # h^2 is a normal double, (pi / L)^2 is not
+        with pytest.raises(ParameterError, match="overflows"):
+            neumann_eigenvalue(g, 2)
+
 
 class TestGridAndFieldValidation:
     def test_rejects_bad_dimension(self):
@@ -341,6 +346,11 @@ class TestGridAndFieldValidation:
             Grid.interval(0.0, 8)
         with pytest.raises(ParameterError):
             Grid.rectangle(1.0, -2.0, 5, 5)
+
+    @pytest.mark.parametrize("lengths", [(1e-300,), (1.0, 1e-160)])
+    def test_rejects_spacing_whose_inverse_square_leaves_the_float_range(self, lengths):
+        with pytest.raises(ParameterError, match="spacing"):
+            Grid(lengths, (5,) * len(lengths))
 
     def test_cached_geometry_keeps_equality_and_hash(self):
         g, fresh = Grid.rectangle(2.0, 3.0, 5, 7), Grid.rectangle(2.0, 3.0, 5, 7)

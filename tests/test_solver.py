@@ -19,6 +19,7 @@ import pytest
 from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium
 from polarsim.errors import ConfigError, ParameterError, SolverError
 from polarsim.kinetics import model_name, reaction_rhs
+from polarsim.tables import BLOCK_ROWS
 from polarsim.solver import (
     SCHEMES,
     _accepted,
@@ -736,6 +737,23 @@ class TestSnapshots:
         assert g2 == g
         np.testing.assert_array_equal(u, state.u.values)
         np.testing.assert_array_equal(v, state.v.values)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Grid.interval(2.0, 2 * BLOCK_ROWS + 3), Grid.rectangle(1.0, 0.5, 37, 61)],
+        ids=["1d", "2d"],
+    )
+    def test_roundtrip_across_blocks(self, tmp_path, g):
+        assert g.n_nodes % BLOCK_ROWS != 0  # the last block is a partial one
+        rng = np.random.default_rng(11)
+        u = rng.uniform(0, 1, g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+        state = SimState(0.75, Field(g, u), Field(g, rng.uniform(0, 1, g.shape)))
+        path = tmp_path / "snap.txt"
+        write_snapshot(path, state, STD)
+        t, g2, u2, v2 = read_snapshot(path)
+        assert (t, g2) == (0.75, g)
+        assert np.array_equal(u2.view(np.uint64), state.u.values.view(np.uint64))
+        assert np.array_equal(v2.view(np.uint64), state.v.values.view(np.uint64))
 
     def test_header_layout(self, tmp_path):
         g = Grid.interval(1.0, 5)

@@ -5,7 +5,8 @@ identity residual from ``np.gradient`` along the record axis, the pairing
 integral as a vectorised trapezoid plus ``cumsum``, and the sup of
 ||v||_2 / lam as a loop.  The streamed values must equal them bit for bit,
 including on record times whose spacings are not all exactly equal, where
-numpy.gradient switches formula for the whole array.
+numpy.gradient switches formula for the whole array.  Snapshot I/O holds
+neither the formatted file nor a copy of its text.
 """
 
 import math
@@ -14,9 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polarsim import Field, Grid, Model1Params, Model2Params
+from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, SimState
 from polarsim.diagnostics import lyapunov_model1, lyapunov_model2
-from polarsim.solver import SolverConfig, run
+from polarsim.solver import SolverConfig, read_snapshot, run, write_snapshot
 
 P1 = Model1Params(D=0.4, tau=1.0, a=1.0, b=1.0, k=1.0)
 P2 = Model2Params(D=0.4, tau=2.0, alpha1=1.0, alpha2=1.0)
@@ -140,3 +141,28 @@ def test_run_memory_does_not_grow_with_records():
     short = _traced_peak(ic, 10)
     long = _traced_peak(ic, 160)
     assert long <= 2.0 * short, f"peak {long / 1e6:.1f} MB over 160 records, {short / 1e6:.1f} MB over 10"
+
+
+def _traced(call, *args):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_io_holds_no_copy_of_the_file(tmp_path):
+    # A write formats a block of rows at a time and a read scans lines, so the
+    # peaks stay under the file's size; holding its text once would reach 1x.
+    g = Grid.rectangle(1.0, 1.0, 256, 256)
+    rng = np.random.default_rng(5)
+    state = SimState(0.5, Field(g, rng.uniform(0, 1, g.shape)), Field(g, rng.uniform(0, 1, g.shape)))
+    p = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
+    path = tmp_path / "snap.txt"
+    write = _traced(write_snapshot, path, state, p)
+    size = path.stat().st_size
+    read = _traced(read_snapshot, path)
+    assert write < 0.25 * size, f"write peak {write / size:.2f}x the {size / 1e6:.1f} MB file"
+    assert read < 0.6 * size, f"read peak {read / size:.2f}x the {size / 1e6:.1f} MB file"

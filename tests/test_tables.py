@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsim.errors import ConfigError
-from polarsim.tables import format_rows, format_table, read_table, write_table
+from polarsim.tables import BLOCK_ROWS, format_rows, format_table, read_table, row_blocks, write_table
 
 # zero of both signs, the smallest subnormal and normal, the largest double
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
@@ -64,6 +66,46 @@ class TestFormat:
         assert format_table("demo") == "# polarsim demo"
 
 
+def written_body(path):
+    """The text after a table's header lines, without the final newline."""
+    lines = path.read_text().splitlines()
+    return "\n".join(line for line in lines if not line.startswith("#"))
+
+
+# every row count at which a block boundary could shift a byte
+BLOCK_EDGES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+    @pytest.mark.parametrize("with_lead", [False, True], ids=["numbers", "lead"])
+    def test_written_body_equals_per_value_loop(self, tmp_path, n_rows, with_lead):
+        rng = np.random.default_rng(n_rows)
+        table = wide_values(rng, 3 * n_rows)[: 3 * n_rows].reshape(n_rows, 3)
+        lead = ([f"x{i % 7}" for i in range(n_rows)],) if with_lead else ()
+        want = loop_format_rows(table)
+        if with_lead:
+            want = "\n".join(f"{x} {row}" for x, row in zip(lead[0], want.splitlines()))
+        assert format_rows(table, lead=lead) == want
+        path = tmp_path / "t.txt"
+        streamed = row_blocks(list(table.T), lead=lead)
+        write_table(path, "demo", [("n", n_rows)], ("c1", "c2", "c3"), streamed)
+        assert written_body(path) == want
+        assert path.read_text().endswith("\n") and not path.read_text().endswith("\n\n")
+
+    def test_blocks_hold_at_most_block_rows(self):
+        column = np.arange(2 * BLOCK_ROWS + 1, dtype=float)
+        sizes = [len(block.splitlines()) for block in row_blocks([column])]
+        assert sizes == [BLOCK_ROWS, BLOCK_ROWS, 1]
+
+    def test_string_body_is_one_block(self, tmp_path):
+        path = tmp_path / "s.txt"
+        write_table(path, "summary", [("config", "abc")], body="a = 1\nb = 2")
+        assert path.read_text() == "# polarsim summary\n# config = abc\na = 1\nb = 2\n"
+        write_table(path, "summary", [("config", "abc")])
+        assert path.read_text() == "# polarsim summary\n# config = abc\n"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "shape", [(33, 4), (6 * 9, 5), (1, 5), (1, 1)], ids=["1d", "2d", "single-row", "single-value"]
@@ -95,6 +137,45 @@ class TestRoundTrip:
         meta, rows = read_table(path)
         assert meta == {"params": "P(D=4.0, tau=1.0)", "t": "2"}
         assert same_bits(rows, [[1.0, 2.0], [3.0, 4.0]])
+
+
+# The whole-text header reader that read_table's line scan replaced: the
+# reference its meta and its empty-table verdict must equal.
+REF_COMMENT = re.compile(r"#.*")
+REF_HEADER = re.compile(r"[# \t]*([^=]*?)[ \t]*=[ \t]*(.*?)[ \t]*")
+REF_DATA = re.compile(r"^[ \t]*[^#\s]", re.M)
+
+
+def reference_header(text):
+    headers = (REF_HEADER.fullmatch(c) for c in REF_COMMENT.findall(text))
+    return {m[1]: m[2] for m in headers if m}, REF_DATA.search(text) is None
+
+
+_KEYS = st.sampled_from(["t", "grid", "model", " t", "a b", "x=y", ""])
+_VALUES = st.sampled_from(["1", "0.5 ", "interval 1 33", "P(D=4.0)", "", " # 2", "=", "\t3"])
+_SPACE = st.sampled_from(["", " ", "\t", " \t "])
+_LINES = st.one_of(
+    st.builds(lambda a, k, b, v: f"{a}#{b}{k}{b}={b}{v}", _SPACE, _KEYS, _SPACE, _VALUES),  # header
+    st.builds(lambda a, c: f"{a}#{c}", _SPACE, st.sampled_from(["", " note", "#", "# k = v"])),
+    st.builds(lambda a, r: f"{a}{r}", _SPACE, st.sampled_from(["1 2", "-3.5e-300 4"])),  # data
+    st.builds(lambda r, k, v: f"{r} # {k} = {v}", st.sampled_from(["1 2", "5 6"]), _KEYS, _VALUES),
+    _SPACE,  # blank
+)
+
+
+class TestHeaderScan:
+    @given(lines=st.lists(_LINES, max_size=12), final_newline=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_meta_and_emptiness_equal_whole_text_regexes(self, tmp_path_factory, lines, final_newline):
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        path = tmp_path_factory.mktemp("scan") / "t.txt"
+        path.write_text(text)
+        meta, rows = read_table(path)
+        want_meta, want_empty = reference_header(text)
+        assert meta == want_meta
+        assert (rows.size == 0) == want_empty
+        if not want_empty:
+            assert rows.shape[1] == 2
 
 
 class TestReaderErrors:
