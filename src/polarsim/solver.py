@@ -220,11 +220,11 @@ class _Stepper:
         return _Stepper(self.g, [self.ps[i] for i in idx], self.cfg, self.dt, self.source, self._solve)
 
     def _constants(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Multipliers of S_au, S_av and coefficients dt, dt/tau; a = theta dt D, theta dt/tau."""
+        """Multipliers of S_au, S_av and signed coefficients dt, -dt/tau; a = theta dt D, theta dt/tau."""
         if dt not in self._cache:
             a = 0.5 * dt if self.cfg.scheme == "imex-cn" else dt
             factors = self._solve.factors([(a * p.D, a / p.tau) for p in self.ps])
-            coefs = np.array([(dt, dt / p.tau) for p in self.ps])
+            coefs = np.array([(dt, -dt / p.tau) for p in self.ps])
             self._cache[dt] = factors, coefs.reshape(coefs.shape + (1,) * self.g.dim)
         return self._cache[dt]
 
@@ -233,16 +233,20 @@ class _Stepper:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One unguarded step of dt; returns the new state and its explicit terms.
 
-        Under imex-cn, ``prev`` holds the explicit terms of the previous step
-        of dt (None: Euler bootstrap for every row) and ``fresh`` marks the
-        rows that bootstrap with Euler all the same (None: no row).
+        The explicit term is one row per member, the reaction f of shape
+        (B, 1, *shape): the signed coefficients (dt, -dt/tau) put +f into u
+        and -f into v by broadcasting.  With a source it is the pair
+        (f + s_u, f - s_v).  Under imex-cn, ``prev`` holds the explicit terms
+        of the previous step of dt (None: Euler bootstrap for every row) and
+        ``fresh`` marks the rows that bootstrap with Euler all the same
+        (None: no row).
         """
         fv = self.f(x[:, 0], x[:, 1])
         if self.source is None:
-            e = np.stack((fv, -fv), axis=1)
+            e = fv[:, None]
         else:
             su, sv = self.source(t)
-            e = np.stack((fv + su, -fv + sv), axis=1)
+            e = np.stack((fv + su, fv - sv), axis=1)
         factors, coefs = self._constants(dt)
         if self.cfg.scheme == "imex-cn":
             if prev is None:
