@@ -8,18 +8,21 @@ with opposite signs:
     (I - (dt/tau) lap) v^{n+1}  = v^n - (dt/tau) R^n        (backward Euler)
 
 so the quadrature mean of u + tau v is conserved up to round-off.  The
-Crank-Nicolson variant pairs the trapezoidal diffusion update with a two-step
-Adams-Bashforth extrapolation of the same reaction value (Euler bootstrap on
-the first step), which is second order in time and keeps the identical-R
-antisymmetry, hence exact conservation, intact.
+explicit term is the one array R, which the signed coefficients (dt, -dt/tau)
+carry into both equations.  The Crank-Nicolson variant pairs the
+trapezoidal diffusion update with a two-step Adams-Bashforth extrapolation
+of the same reaction value (Euler bootstrap on the first step), which is
+second order in time and keeps the identical-R antisymmetry, hence exact
+conservation, intact.
 
-The implicit solves (I - alpha lap)^-1 are exact and direct in 1-D and 2-D
-alike: the mirror-ghost Laplacian is diagonalised by the DCT-I, so each step
-is one stacked transform pair for both species.  The Crank-Nicolson step
-needs no Laplacian evaluation.  In 1-D the DCT-I is the FFT of the even
-extension, of length 2(n - 1), so n - 1 a product of small primes (e.g.
-n = 129, 257) is faster than n - 1 prime.  In 2-D it is a dense matrix
-product per axis, whose cost does not depend on how n - 1 factors.
+The implicit solves (I - alpha lap)^-1 are exact and direct in any
+dimension: the mirror-ghost Laplacian is diagonalised by the DCT-I, so each
+step is one stacked transform pair for both species, applied axis by axis.
+The Crank-Nicolson step needs no Laplacian evaluation.  An axis of at most
+``DENSE_AXIS_MAX`` nodes takes the DCT-I as a dense matrix product, whose
+cost does not depend on how n - 1 factors; a longer one takes the FFT of the
+even extension, of length 2(n - 1), so there n - 1 a product of small primes
+(e.g. n = 513, 1025) is faster than n - 1 prime.
 
 :func:`run` steps a batch of B runs as one state of shape (B, 2, *shape),
 one reaction call and one transform pair per step for all of them; a single
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -102,36 +106,89 @@ def default_dt(g: Grid, p: ModelParams) -> float:
 # -- implicit solves ---------------------------------------------------
 
 
+# An axis takes the dense DCT-I product when it has at most this many nodes,
+# or no more nodes than the other axes hold together (then the product has
+# as many rows per member as columns); otherwise it takes the rfft of its
+# even extension.  So at most one axis of a grid is an rfft axis.  The rule
+# reads the grid only: an axis kind chosen by batch size B would give a
+# sweep member other bits than its single run.  Measured on a 2-vCPU x86-64
+# VM (numpy 2.4.6, OpenBLAS 0.3.31), dense / rfft time of one 1-D solve of a
+# (B, 2, n) stack:
+#
+#     n     B = 1   B = 16   B = 256
+#     64    0.16    0.40     0.32
+#     128   0.20    0.24     0.22
+#     256   0.79    1.66     1.19
+#     512   2.02    2.62     2.25
+#
+# and of one solve of both species on an n x n grid, all-dense / all-rfft:
+# 14 / 63 ms at n = 384, 20 / 94 ms at n = 450, 27 / 40 ms at n = 513.
+DENSE_AXIS_MAX = 256
+
+
+class _Dct1Axis:
+    """The DCT-I along one axis of a stacked array, unnormalised.
+
+    With C[k, j] = w_j cos(pi j k / (n-1)) (w = 1/2 at both ends, 1
+    elsewhere), a dense axis applies C as a matrix product each way, and
+    C C = (n-1)/2 I.  An rfft axis takes the rfft of the even extension, of
+    length 2(n-1), and returns with irfft, which inverts it exactly; its
+    cost follows that FFT length, so n - 1 with small prime factors is
+    fastest.
+    """
+
+    def __init__(self, axis: int, n: int, dense: bool) -> None:
+        self.axis = axis  # counted from the end: -1 is the last
+        self.n = n
+        self.dense = dense
+        if dense:
+            self.c = _dct1_matrix(n)
+        else:
+            inner = (slice(None),) * (-axis - 1)
+            self.mirror = (Ellipsis, slice(-2, 0, -1), *inner)
+            self.head = (Ellipsis, slice(0, n), *inner)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        if self.axis == -1:
+            return x @ self.c.T
+        return np.moveaxis(self.c @ np.moveaxis(x, self.axis, -2), -2, self.axis)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return self._product(x)
+        return np.fft.rfft(np.concatenate((x, x[self.mirror]), axis=self.axis), axis=self.axis)
+
+    def inverse(self, spec: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return self._product(spec)
+        return np.fft.irfft(spec, 2 * (self.n - 1), axis=self.axis)[self.head]
+
+
 class _NeumannSolve:
     """S_alpha = (I - alpha lap)^-1 on a stack of fields, exact and direct.
 
     The mirror-ghost Laplacian is diagonalised by the DCT-I, with
-    eigenvalues mu_k per axis, so S_alpha is a multiply by 1/(1 + alpha mu)
-    between a forward and an inverse DCT-I.  In 1-D the DCT-I is the rfft
-    of the even extension of length 2(n-1), so cost follows that FFT
-    length: prefer n - 1 with small prime factors.  In 2-D it is one dense
-    matrix product per axis each way, C U C^T with
-    C[k, j] = w_j cos(pi j k / (n-1)) (w = 1/2 at both ends, 1 elsewhere),
-    which is its own inverse up to C C = (n-1)/2 I; that scale is folded
-    into the multipliers.  Its cost, O(nx ny (nx + ny)), does not depend on
-    how n - 1 factors; the FFT of the even extension catches up only near
-    1025 x 1025.  The zero mode passes through untouched, so the solve
-    moves the quadrature mean by round-off only.
+    eigenvalues mu_k per axis, so S_alpha is a multiply by
+    1/(1 + alpha sum mu) between a forward and an inverse DCT-I, applied axis
+    by axis (:class:`_Dct1Axis`) in any dimension; ``DENSE_AXIS_MAX`` says
+    which axes are dense.  The 2/(n-1) of each dense axis is folded into the
+    multipliers.  The spectrum of the rfft axis, if any, is complex, so it
+    goes last forward and first back.  The zero mode passes through
+    untouched, so the solve moves the quadrature mean by round-off only.
     """
 
     def __init__(self, g: Grid) -> None:
         mu = [_axis_discrete_eigenvalues(L, n) for L, n in zip(g.lengths, g.counts)]
-        if g.dim == 1:
-            self.n = g.counts[0]
-            self.mu = mu[0]
-            self.scale = 1.0
-            self.mats = None
-        else:
-            nx, ny = g.counts
-            self.mu = np.add.outer(mu[0], mu[1])
-            self.scale = 4.0 / ((nx - 1) * (ny - 1))
-            cx, cy = (_dct1_matrix(n) for n in g.counts)
-            self.mats = cx, cy.T
+        self.mu = reduce(np.add.outer, mu)
+        axes = [
+            _Dct1Axis(ax - g.dim, n, n <= DENSE_AXIS_MAX or n <= g.n_nodes // n)
+            for ax, n in enumerate(g.counts)
+        ]
+        dense = [a for a in axes if a.dense]
+        fft = [a for a in axes if not a.dense]
+        self.scale = 2.0 ** len(dense) / math.prod(a.n - 1 for a in dense)
+        self.forward = dense + fft
+        self.inverse = fft + dense
 
     def factors(self, alphas) -> np.ndarray:
         """Spectral multipliers scale/(1 + alpha mu_k), with the leading axes of ``alphas``."""
@@ -139,14 +196,13 @@ class _NeumannSolve:
 
     def __call__(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Apply S to a stacked (..., *shape) array, each field with its row of factors."""
-        if self.mats is None:
-            spec = np.fft.rfft(np.concatenate((rhs, rhs[..., -2:0:-1]), axis=-1))
-            spec *= factors
-            return np.fft.irfft(spec, 2 * (self.n - 1))[..., : self.n]
-        cx, cyt = self.mats
-        spec = cx @ rhs @ cyt
+        spec = rhs
+        for a in self.forward:
+            spec = a.forward(spec)
         spec *= factors
-        return cx @ spec @ cyt
+        for a in self.inverse:
+            spec = a.inverse(spec)
+        return spec
 
 
 def _dct1_matrix(n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium
+from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium, solver
 from polarsim.errors import ConfigError, ParameterError, SolverError
 from polarsim.kinetics import model_name, reaction_rhs
 from polarsim.tables import BLOCK_ROWS
@@ -302,31 +302,26 @@ ORACLE_GRIDS = [
     Grid.interval(1.0, 257),
     Grid.rectangle(1.0, 1.7, 7, 12),
     Grid.rectangle(2.0, 0.7, 14, 3),  # nx != ny, nx - 1 = 13 prime, 3-node axis
+    Grid.rectangle(3.0, 0.4, 262, 4),  # one axis on each side of DENSE_AXIS_MAX
 ]
+GRID_IDS = lambda g: "x".join(map(str, g.counts))  # noqa: E731
 
 BLAS_BITS_SCRIPT = """
 import hashlib, numpy as np
 from polarsim.grid import Grid
 from polarsim.solver import _NeumannSolve
-g = Grid.rectangle(1.0, 1.3, 128, 128)
-solve = _NeumannSolve(g)
-rhs = np.random.default_rng(21).uniform(0.1, 1.0, size=(2, 2, *g.shape))
-out = solve(rhs, solve.factors([(0.004, 0.002), (0.3, 0.05)]))
-print(hashlib.sha256(out.tobytes()).hexdigest())
+for g in (Grid.rectangle(1.0, 1.3, 128, 128), Grid.interval(1.0, 256)):
+    solve = _NeumannSolve(g)
+    rhs = np.random.default_rng(21).uniform(0.1, 1.0, size=(2, 2, *g.shape))
+    out = solve(rhs, solve.factors([(0.004, 0.002), (0.3, 0.05)]))
+    print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
-class TestNeumannSolve:
+class _SolveOracles:
     """The spectral solve against a dense assembly of the stencil."""
 
-    def test_dense_stencil_matches_grid_laplacian(self):
-        # guards the oracle itself: same operator as the grid's stencil
-        for g in ORACLE_GRIDS:
-            f = np.random.default_rng(3).uniform(size=g.shape)
-            want = (dense_neumann_laplacian(g) @ f.ravel()).reshape(g.shape)
-            assert rel_err(g.laplacian(f), want) <= 1e-12
-
-    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.counts)))
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=GRID_IDS)
     def test_matches_dense_solve(self, g):
         rng = np.random.default_rng(11)
         rhs = rng.uniform(0.1, 1.0, size=(2, *g.shape))
@@ -337,7 +332,7 @@ class TestNeumannSolve:
         for i, alpha in enumerate(alphas):
             assert rel_err(got[i], dense_solve(g, alpha, rhs[i])) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.counts)))
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=GRID_IDS)
     def test_stacked_solve_equals_single_solves(self, g):
         # sweep members get the bits of their solo runs only if a member's
         # slice of a batched solve does not depend on its batchmates
@@ -349,25 +344,8 @@ class TestNeumannSolve:
         for b in range(3):
             np.testing.assert_array_equal(got[b], solve(rhs[b : b + 1], factors[b : b + 1])[0])
 
-    def test_2d_solve_bits_independent_of_blas_threads(self):
-        # reruns are bit-identical only if the dense products are: compare
-        # fresh interpreters with one, two and the default BLAS threads
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        digests = set()
-        for threads in ("1", "2", None):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            out = subprocess.run(
-                [sys.executable, "-c", BLAS_BITS_SCRIPT],
-                env=env, capture_output=True, text=True, timeout=120, check=True,
-            )
-            digests.add(out.stdout.strip())
-        assert len(digests) == 1, digests
-
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.counts)))
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=GRID_IDS)
     def test_step_matches_stencil_form(self, g, scheme):
         # one step from rest of the AB2 history: the reaction enters as
         # r = f(u, v), and CN is S_a(u + a lap u + dt r) with a = dt D / 2
@@ -388,6 +366,60 @@ class TestNeumannSolve:
             lap_x = (A @ x.ravel()).reshape(g.shape)
             rhs = x + alpha * lap_x + src if cn else x + src
             assert rel_err(got, dense_solve(g, alpha, rhs)) <= 1e-12
+
+
+class TestNeumannSolve(_SolveOracles):
+    """The oracles with each axis kind as ``DENSE_AXIS_MAX`` chooses it, and the choice itself."""
+
+    def test_dense_stencil_matches_grid_laplacian(self):
+        # guards the oracle itself: same operator as the grid's stencil
+        for g in ORACLE_GRIDS:
+            f = np.random.default_rng(3).uniform(size=g.shape)
+            want = (dense_neumann_laplacian(g) @ f.ravel()).reshape(g.shape)
+            assert rel_err(g.laplacian(f), want) <= 1e-12
+
+    def test_axis_kind_follows_the_grid_shape(self):
+        # the dense product costs O(n^2) per row: at n = 4097 it would take
+        # test_drift_flat_at_large_n from seconds to minutes; a square grid
+        # has as many rows per member as columns, and stays dense
+        n = solver.DENSE_AXIS_MAX
+        for counts, dense in (
+            ((4097,), [False]),
+            ((n,), [True]),
+            ((n + 1,), [False]),
+            ((n + 1, n), [False, True]),
+            ((3, 4 * n), [True, False]),
+            ((n + 44, n + 44), [True, True]),
+        ):
+            axes = _NeumannSolve(Grid((1.0,) * len(counts), counts)).forward
+            assert [a.dense for a in sorted(axes, key=lambda a: a.axis)] == dense
+
+    def test_2d_solve_bits_independent_of_blas_threads(self):
+        # reruns are bit-identical only if the dense products are: compare
+        # fresh interpreters with one, two and the default BLAS threads, on
+        # a 2-D grid and on a dense 1-D axis
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        digests = set()
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run(
+                [sys.executable, "-c", BLAS_BITS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
+
+
+class TestNeumannSolveForcedAxisKind(_SolveOracles):
+    """The oracles with every axis dense, then with every axis on the rfft
+    that can be: a 1-D axis, and the longer axis of a 2-D grid."""
+
+    @pytest.fixture(autouse=True, params=["dense", "fft"])
+    def axis_kind(self, request, monkeypatch):
+        monkeypatch.setattr(solver, "DENSE_AXIS_MAX", {"dense": 10**9, "fft": 0}[request.param])
 
 
 def manufactured_setup(g: Grid):
