@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, PolarsimError
+from .errors import EquilibriumError, ParameterError, PolarsimError
 from .grid import Grid
 from .equilibrium import HomogeneousEquilibrium, sample_roots, solve_equilibrium
 from .kinetics import Model4Params, a_of_u, a_prime
@@ -160,12 +160,16 @@ def scan_degeneracy(
 ) -> list[DegeneracyReport]:
     """Scan the degeneracy residual over one parameter and bracket its roots.
 
-    The scanned parameter is one of D, lambda, delta; the equilibrium is
-    re-solved at every sample.  A sample that raises a polarsim error (an
-    equilibrium solve that fails) is logged and left a gap no bracket spans.
-    The roots are those :func:`~polarsim.equilibrium.sample_roots` reads off
-    the samples, as the equilibrium's audit does: each refined to adjacent
-    floats, whose end with the smaller |residual| is taken.
+    The scanned parameter is one of D, lambda, delta.  D enters neither the
+    balance f = 0 nor the mass line, so a D scan solves the equilibrium once,
+    up front, and an error there propagates; a lambda or delta scan re-solves
+    it at every sample.  A sample that raises a polarsim error (an
+    equilibrium solve that fails) is logged and left a gap no bracket spans;
+    when every sample fails, the scan has no evidence either way and raises
+    :class:`~polarsim.errors.EquilibriumError`.  The roots are those
+    :func:`~polarsim.equilibrium.sample_roots` reads off the samples, as the
+    equilibrium's audit does: each refined to adjacent floats, whose end
+    with the smaller |residual| is taken.
     """
     if param not in _SCANNABLE:
         raise ParameterError(f"scan parameter must be one of {_SCANNABLE}, got {param!r}")
@@ -176,19 +180,25 @@ def scan_degeneracy(
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
 
+    eq = solve_equilibrium(p, lam) if param == "D" else None
+
     def resid(x: float) -> float:
         if param == "lambda":
             return degeneracy_residual(p, x, j, mu_j)
-        return degeneracy_residual(replace(p, **{param: x}), lam, j, mu_j)
+        return degeneracy_residual(replace(p, **{param: x}), lam, j, mu_j, eq)
 
     xs = np.linspace(lo, hi, samples)
     rs = np.empty_like(xs)
+    failures = []
     for i, x in enumerate(xs):
         try:
             rs[i] = resid(float(x))
         except PolarsimError as exc:  # per-point failure: record, keep scanning
             logger.warning("degeneracy scan: %s = %.6g failed: %s", param, x, exc)
             rs[i] = np.nan
+            failures.append(exc)
+    if len(failures) == samples:
+        raise EquilibriumError(f"every sample of the {param} scan failed, the last with: {failures[-1]}")
     return [DegeneracyReport(j, param, *entry) for entry in sample_roots(resid, xs, rs)]
 
 

@@ -342,17 +342,29 @@ class TestOde:
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "ode", "scan"])
-def test_hill_term_underflow_is_refused(capsys, caplog, command):
-    # k^m underflows to 0, and the Hill term at u = 0 would be 0/0
+def test_hill_term_underflow_is_refused(capsys, command):
+    # k^m underflows to 0, and the Hill term at u = 0 would be 0/0; a D scan
+    # fails at its one equilibrium solve
     code = main(FLOAT_FLAG_COMMANDS[command] + ["--k", "1e-300"])
-    if command == "scan":  # each sample's failure is logged, and no root is found
-        assert code == EXIT_OK and "no degeneracy points found" in capsys.readouterr().out
-        errors = caplog.messages
-    else:
-        assert code == EXIT_RUNTIME
-        errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 1
-    assert errors and all("k^m underflows to 0" in line for line in errors)
+    assert code == EXIT_RUNTIME
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert "k^m underflows to 0" in errors[0]
+
+
+@pytest.mark.parametrize("param, lo, hi", [("delta", "0.1", "1"), ("lambda", "0.2", "2")])
+def test_scan_with_every_sample_failed_is_one_error_line(capsys, caplog, param, lo, hi):
+    # no sample was evaluated: "no degeneracy points found" would be a verdict
+    # without evidence
+    code = main(["scan", "--param", param, "--lo", lo, "--hi", hi, "--samples", "5", "--k", "1e-300"])
+    assert code == EXIT_RUNTIME
+    out = capsys.readouterr()
+    assert "no degeneracy points found" not in out.out
+    errors = out.err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: every sample of the {param} scan failed")
+    assert "k^m underflows to 0" in errors[0]
+    assert len(caplog.messages) == 5 and all("failed" in m for m in caplog.messages)
 
 
 class TestCheck:

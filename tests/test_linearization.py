@@ -332,6 +332,38 @@ class TestScanDegeneracy:
         with pytest.raises(TypeError, match="bug"):
             scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, "D", 0.01, 2.0, 80)
 
+    @pytest.mark.parametrize("param, lo, hi, solves", [("D", 0.01, 2.0, 1), ("delta", 0.1, 0.5, None)])
+    def test_equilibrium_solves_per_scan(self, monkeypatch, param, lo, hi, solves):
+        # D enters neither f = 0 nor the mass line: a D scan solves once; a
+        # delta scan solves at every residual evaluation
+        real, calls = linearization.solve_equilibrium, []
+
+        def counting(p, lam, *args):
+            calls.append(p)
+            return real(p, lam, *args)
+
+        evals = []
+        real_resid = linearization.degeneracy_residual
+
+        def counting_resid(*args):
+            evals.append(args)
+            return real_resid(*args)
+
+        want = scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, param, lo, hi, 40)
+        monkeypatch.setattr(linearization, "solve_equilibrium", counting)
+        monkeypatch.setattr(linearization, "degeneracy_residual", counting_resid)
+        assert scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, param, lo, hi, 40) == want
+        assert len(calls) == (solves or len(evals)) and len(evals) >= 40
+
+    @pytest.mark.parametrize("param", ["D", "delta", "lambda"])
+    def test_scan_with_no_evaluated_sample_raises(self, caplog, param):
+        p = replace(SCAN_P, k=1e-300)  # k^m underflows: every equilibrium solve is refused
+        with caplog.at_level("WARNING", logger="polarsim.linearization"):
+            with pytest.raises(EquilibriumError, match="k\\^m underflows"):
+                scan_degeneracy(p, 1.0, 2, SCAN_MU2, param, 0.1, 1.0, 6)
+        # a D scan fails at its one solve, before any sample
+        assert len(caplog.records) == (0 if param == "D" else 6)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             scan_degeneracy(SCAN_P, 1.0, 2, 0.25, "tau", 0.1, 1.0, 10)
