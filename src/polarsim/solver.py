@@ -107,9 +107,9 @@ def default_dt(g: Grid, p: ModelParams) -> float:
 
 
 # An axis takes the dense DCT-I product when it has at most this many nodes,
-# or no more nodes than the other axes hold together (then the product has
-# as many rows per member as columns); otherwise it takes the rfft of its
-# even extension.  So at most one axis of a grid is an rfft axis.  The rule
+# or no more nodes than the other axes hold together (then each product
+# has at least as many rows as C has columns, which BLAS runs efficiently);
+# otherwise it takes the rfft of its even extension.  So at most one axis of a grid is an rfft axis.  The rule
 # reads the grid only: an axis kind chosen by batch size B would give a
 # sweep member other bits than its single run.  Measured on a 2-vCPU x86-64
 # VM (numpy 2.4.6, OpenBLAS 0.3.31), dense / rfft time of one 1-D solve of a
@@ -187,8 +187,8 @@ class _NeumannSolve:
         dense = [a for a in axes if a.dense]
         fft = [a for a in axes if not a.dense]
         self.scale = 2.0 ** len(dense) / math.prod(a.n - 1 for a in dense)
-        self.forward = dense + fft
-        self.inverse = fft + dense
+        self.forward_axes = dense + fft
+        self.inverse_axes = fft + dense
 
     def factors(self, alphas) -> np.ndarray:
         """Spectral multipliers scale/(1 + alpha mu_k), with the leading axes of ``alphas``."""
@@ -197,10 +197,10 @@ class _NeumannSolve:
     def __call__(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Apply S to a stacked (..., *shape) array, each field with its row of factors."""
         spec = rhs
-        for a in self.forward:
+        for a in self.forward_axes:
             spec = a.forward(spec)
         spec *= factors
-        for a in self.inverse:
+        for a in self.inverse_axes:
             spec = a.inverse(spec)
         return spec
 

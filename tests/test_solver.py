@@ -391,7 +391,7 @@ class TestNeumannSolve(_SolveOracles):
             ((3, 4 * n), [True, False]),
             ((n + 44, n + 44), [True, True]),
         ):
-            axes = _NeumannSolve(Grid((1.0,) * len(counts), counts)).forward
+            axes = _NeumannSolve(Grid((1.0,) * len(counts), counts)).forward_axes
             assert [a.dense for a in sorted(axes, key=lambda a: a.axis)] == dense
 
     def test_2d_solve_bits_independent_of_blas_threads(self):
