@@ -31,15 +31,6 @@ from .kinetics import (
     Model2Params,
     Model4Params,
     ModelParams,
-    a_of_u,
-    a_prime,
-    alpha_sup,
-    f_model1,
-    f_model2,
-    f_model4,
-    model_name,
-    ode_potential_model4,
-    ode_rhs_model4,
     quasi_positivity_margins,
     reaction_rhs,
 )
@@ -127,16 +118,7 @@ __all__ = [
     "Model1Params",
     "Model2Params",
     "Model4Params",
-    "a_of_u",
-    "a_prime",
-    "alpha_sup",
-    "f_model1",
-    "f_model2",
-    "f_model4",
-    "ode_rhs_model4",
-    "ode_potential_model4",
     "reaction_rhs",
-    "model_name",
     "quasi_positivity_margins",
     # equilibrium
     "HomogeneousEquilibrium",

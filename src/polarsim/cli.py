@@ -36,7 +36,7 @@ from .errors import (
     SolverError,
 )
 from .grid import EIGENVALUE_MODES, Grid, second_eigenvalue
-from .kinetics import Model4Params, model_name
+from .kinetics import Model4Params
 from .linearization import scan_degeneracy
 from .solver import RunResult, batch_key, run, write_snapshot
 from .tables import fmt, format_rows, format_table, write_table
@@ -162,7 +162,7 @@ class _Scenario:
         p = scn.params
         self.meta = {
             "config": scn.config_hash,
-            "model": model_name(p),
+            "model": p.name,
             "params": repr(p),
             "scheme": scn.solver.scheme,
             "stride": scn.solver.stride,
@@ -217,7 +217,7 @@ def _write_outputs(
     write_snapshot(out / "final_state.txt", result.final_state, p, meta_run)
 
     pairs: list[tuple[str, str]] = [
-        ("model", model_name(p)),
+        ("model", p.name),
         ("lam", fmt(result.lam0)),
         ("dt", fmt(result.dt)),
         ("n_steps", str(result.n_steps)),
@@ -345,7 +345,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     trace: list = []
     eq = solve_equilibrium(p, args.lam, trace=trace)
-    print(f"model = {model_name(p)}")
+    print(f"model = {p.name}")
     print(f"lam = {fmt(args.lam)}")
     print(f"u_star = {fmt(eq.u_star)}")
     print(f"v_star = {fmt(eq.v_star)}")
@@ -364,7 +364,7 @@ def cmd_ode(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     u0 = args.u0 if args.u0 is not None else 0.5 * args.lam
     traj = integrate_homogeneous_ode(p, args.lam, u0, args.t_end, args.dt)
-    print(f"# model = {model_name(p)}")
+    print(f"# model = {p.name}")
     print(f"# lam = {fmt(args.lam)}  U0 = {fmt(u0)}  dt = {fmt(traj.dt)}")
     n = len(traj.t)
     stride = max(1, n // 200)

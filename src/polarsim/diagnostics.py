@@ -27,15 +27,7 @@ import numpy as np
 from . import tables
 from .errors import DiagnosticsError, ParameterError
 from .grid import Field, Grid, SimState, transform_z
-from .kinetics import (
-    Model1Params,
-    Model2Params,
-    Model4Params,
-    ModelParams,
-    alpha_sup,
-    drift_primitive_model1,
-    drift_primitive_model2,
-)
+from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
 
 __all__ = [
     "RECORD_COLUMNS",
@@ -116,7 +108,7 @@ def lyapunov_model1(u: Field, w: Field, p: Model1Params) -> float:
     if w.grid != g:
         raise ParameterError("u and w must share one grid")
     grad_part = 0.5 * p.D * g.dirichlet_form(u.values, u.values)
-    drift_part = g.mean(drift_primitive_model1(p, u.values))
+    drift_part = g.mean(p.drift_primitive(u.values))
     return p.xi * (grad_part - drift_part) + 0.5 * p.tau * p.k * g.inner(w.values, w.values)
 
 
@@ -135,7 +127,7 @@ def lyapunov_model2(z: Field, w: Field, p: Model2Params) -> float:
         0.5 * (p.alpha + p.D) * g.dirichlet_form(w.values, w.values)
         + 0.5 * k * g.inner(w.values, w.values)
         + 0.5 * p.xi * p.D * g.dirichlet_form(z.values, z.values)
-        - p.xi * g.mean(drift_primitive_model2(p, z.values))
+        - p.xi * g.mean(p.drift_primitive(z.values))
     )
 
 
@@ -152,7 +144,7 @@ def variational_energy_model1(v: Field, p: Model1Params, lam: float) -> float:
     m = g.mean(v.values)
     return (
         0.5 * p.D * g.dirichlet_form(v.values, v.values)
-        - g.mean(drift_primitive_model1(p, v.values))
+        - g.mean(p.drift_primitive(v.values))
         - (p.k / p.tau) * lam * m
         + (p.k * p.xi / (2.0 * p.tau)) * m * m
     )
@@ -169,7 +161,7 @@ def variational_energy_model2(z: Field, p: Model2Params, lam: float) -> float:
     m = g.mean(z.values)
     return (
         0.5 * p.D * g.dirichlet_form(z.values, z.values)
-        - g.mean(drift_primitive_model2(p, z.values))
+        - g.mean(p.drift_primitive(z.values))
         - k * lam * m
         + 0.5 * k * p.xi * m * m
     )
@@ -413,7 +405,7 @@ def check_contraction_condition(
     _require_positive("mu2", mu2)
     _require_positive("C4", C4)
     _require_positive("lam", lam)
-    sup = alpha_sup(p)
+    sup = p.alpha_sup
     lhs = p.a1 * (1.0 + 1.0 / (2.0 * p.tau)) + (4.0 / p.D) * (sup * C4 * lam / mu2) ** 2
     rhs = 0.5 * (p.D * mu2 + p.delta)
     return ConditionReport(
@@ -447,7 +439,7 @@ def sufficient_sigma(p: Model4Params, mu2: float, C4: float = DEFAULT_C4) -> flo
     _require_positive("C4", C4)
     return max(
         2.0 * p.a1 * (1.0 + 1.0 / (2.0 * p.tau)),
-        8.0 * (alpha_sup(p) * C4 / mu2) ** 2,
+        8.0 * (p.alpha_sup * C4 / mu2) ** 2,
     )
 
 

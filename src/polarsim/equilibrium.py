@@ -21,11 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import EquilibriumError, ParameterError
-from .kinetics import Model4Params, ModelParams, f_model4, ode_potential_model4
+from .kinetics import Model4Params, ModelParams
 
 __all__ = [
     "HomogeneousEquilibrium",
     "has_homogeneous_equilibrium",
+    "check_km",
     "A_of",
     "B_of",
     "balance_gap",
@@ -70,7 +71,16 @@ def _check_hill(p: Model4Params, lam: float) -> None:
         lam**p.m + p.km
     except OverflowError:
         raise EquilibriumError(f"lam^m or k^m overflows: lam={lam}, k={p.k}, m={p.m}") from None
-    if p.km == 0.0:  # the Hill term at u = 0 would be 0/0
+    check_km(p)
+
+
+def check_km(p: Model4Params) -> None:
+    """Refuse a k^m outside the float range: k**m raises on overflow, and k^m = 0 makes the Hill term 0/0 at u = 0."""
+    try:
+        km = p.km
+    except OverflowError:
+        raise EquilibriumError(f"k^m overflows: k={p.k}, m={p.m}") from None
+    if km == 0.0:
         raise EquilibriumError(f"k^m underflows to 0: k={p.k}, m={p.m}")
 
 
@@ -218,7 +228,7 @@ def solve_equilibrium(
         )
     u_star = roots[0][1]
     v_star = (lam - u_star) / p.tau
-    residual = float(f_model4(p, u_star, v_star))
+    residual = float(p.f(u_star, v_star))
     res_scale = max(1.0, p.delta * lam)
     if not abs(residual) <= 1e-10 * res_scale:
         raise EquilibriumError(
@@ -286,7 +296,7 @@ def integrate_homogeneous_ode(
     delta, b, gamma, k0, km, m, tau = p.delta, p.b, p.gamma, p.k0, p.km, p.m, p.tau
 
     def rhs(x: float) -> float:
-        """ode_rhs_model4 on a plain float, with its operations in the same order."""
+        """Model4Params.well_mixed_rhs on a plain float, with its operations in the same order."""
         if x < 0.0:
             raise ParameterError("a(u) requires u >= 0")
         xm = x**m
@@ -318,7 +328,7 @@ def integrate_homogeneous_ode(
         if ok:
             U = np.array(U)
             t = dt_cur * np.arange(n + 1)
-            G = np.asarray(ode_potential_model4(p, lam, np.clip(U, 0.0, lam)))
+            G = np.asarray(p.well_mixed_potential(lam, np.clip(U, 0.0, lam)))
             return OdeTrajectory(t=t, U=U, G=G, lam=lam, tau=p.tau, dt=dt_cur, halvings=halvings)
         dt_cur *= 0.5
     raise EquilibriumError(

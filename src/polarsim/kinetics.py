@@ -4,15 +4,21 @@ All models share the skeleton
 
     u_t = D lap(u) + f(u, v),      tau v_t = lap(v) - f(u, v),
 
-so the spatial mean of u + tau v is invariant.  Three kinetics are provided:
+so the spatial mean of u + tau v is invariant.  Three kinetics are provided,
+one parameter class each, whose methods are the model's terms:
 
-* model 1:  f(u, v) = h1(u) + k v           with h1(u) = -a u / (u^2 + b)
-* model 2:  f(u, v) = h2(u + v) + alpha1 v  with h2(z) = -alpha1 z / (alpha2 z + 1)^2
-* model 4:  f(u, v) = v a(u) - delta u      with a(u) a saturating Hill activation
+* model 1:  f(u, v) = h(u) + k v           with h(u) = -a u / (u^2 + b)
+* model 2:  f(u, v) = h(u + v) + alpha1 v  with h(z) = -alpha1 z / (alpha2 z + 1)^2
+* model 4:  f(u, v) = v a(u) - delta u     with a(u) a saturating Hill activation
 
-Antiderivatives (drift potentials) are normalized to vanish at 0 and are
-evaluated in closed form where elementary, otherwise by adaptive Simpson
-quadrature to 1e-10 absolute.
+Every class has ``f`` and ``name``.  Models 1 and 2 add ``h``, the drift
+``drift`` of the transformed stationary problem and its antiderivative
+``drift_primitive``.  Model 4 adds the activation ``a``, its derivative
+``a_prime`` and bound ``alpha_sup``, the reaction Jacobian ``jacobian``, and
+the well-mixed reduction's right side ``well_mixed_rhs`` and potential
+``well_mixed_potential``.  Antiderivatives (drift potentials) are normalized
+to vanish at 0 and are evaluated in closed form where elementary, otherwise
+by adaptive Simpson quadrature to 1e-10 absolute.
 """
 from __future__ import annotations
 
@@ -28,20 +34,7 @@ __all__ = [
     "Model1Params",
     "Model2Params",
     "Model4Params",
-    "a_of_u",
-    "a_prime",
-    "alpha_sup",
-    "f_model1",
-    "f_model2",
-    "f_model4",
-    "h_model1",
-    "h_model2",
-    "drift_model1",
-    "drift_model2",
-    "drift_primitive_model1",
-    "drift_primitive_model2",
-    "ode_rhs_model4",
-    "ode_potential_model4",
+    "ModelParams",
     "reaction_rhs",
     "StackedParams",
     "quasi_positivity_margins",
@@ -59,6 +52,10 @@ def _require_finite(p) -> None:
     for f in fields(p):
         val = getattr(p, f.name)
         _require(math.isfinite(val), f"{f.name} must be finite, got {val}")
+
+
+def _require_method(method: str) -> None:
+    _require(method in ("auto", "quadrature"), f"unknown potential method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,32 @@ class Model1Params:
     @property
     def xi(self) -> float:
         return 1.0 - self.tau * self.D
+
+    @property
+    def name(self) -> str:
+        return "model1"
+
+    def h(self, u):
+        return -self.a * u / (u * u + self.b)
+
+    def f(self, u, v):
+        return self.h(u) + self.k * v
+
+    def drift(self, u):
+        """q(u) = h(u) - k D u, the drift of the transformed stationary problem."""
+        return self.h(u) - self.k * self.D * u
+
+    def drift_primitive(self, u, method: str = "auto"):
+        """Antiderivative Q of q with Q(0) = 0.
+
+        Closed form: Q(u) = -(a/2) log(1 + u^2/b) - k D u^2 / 2.
+        """
+        _require_method(method)
+        if method == "quadrature":
+            return _primitive_by_quadrature(self.drift, u)
+        return -0.5 * self.a * np.log1p(np.asarray(u, dtype=float) ** 2 / self.b) - (
+            0.5 * self.k * self.D * np.asarray(u) ** 2
+        )
 
 
 @dataclass(frozen=True)
@@ -112,6 +135,35 @@ class Model2Params:
     @property
     def alpha(self) -> float:
         return (1.0 - self.D) / (self.tau - 1.0)
+
+    @property
+    def name(self) -> str:
+        return "model2"
+
+    def h(self, z):
+        return -self.alpha1 * z / (self.alpha2 * z + 1.0) ** 2
+
+    def f(self, u, v):
+        return self.h(u + v) + self.alpha1 * v
+
+    def drift(self, z):
+        """g(z) = (1 - D) h(z) - alpha1 D z."""
+        return (1.0 - self.D) * self.h(z) - self.alpha1 * self.D * z
+
+    def drift_primitive(self, z, method: str = "auto"):
+        """Antiderivative G of g with G(0) = 0.
+
+        Closed form via t = alpha2 z + 1:
+        G(z) = -(1-D) alpha1/alpha2^2 (log t + 1/t - 1) - alpha1 D z^2 / 2.
+        """
+        _require_method(method)
+        if method == "quadrature":
+            return _primitive_by_quadrature(self.drift, z)
+        z_arr = np.asarray(z, dtype=float)
+        t = self.alpha2 * z_arr + 1.0
+        head = -(1.0 - self.D) * self.alpha1 / self.alpha2**2 * (np.log(t) + 1.0 / t - 1.0)
+        out = head - 0.5 * self.alpha1 * self.D * z_arr**2
+        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -164,141 +216,87 @@ class Model4Params:
         """Upper activation bound sup a = b (gamma + k0)."""
         return self.b * (self.gamma + self.k0)
 
+    @property
+    def name(self) -> str:
+        return "model4" if self.m == 2.0 else "model4-general-m"
 
-# -- model-4 activation ------------------------------------------------
+    @property
+    def alpha_sup(self) -> float:
+        """Supremum of a' over u > 0.
 
+        Writing u = k s reduces a'(u) to (b gamma / k) m s^(m-1)/(1+s^m)^2, which
+        is maximized at s = ((m-1)/(m+1))^(1/m), giving
 
-def _hill(p: Model4Params, u):
-    # Tolerates round-off negatives produced by the explicit reaction step:
-    # the Hill argument is clipped at zero, nothing else is altered.
-    uc = np.maximum(u, 0.0)
-    um = uc**p.m
-    return um / (p.km + um)
+            sup a' = (b gamma / k) ((m-1)/(m+1))^((m-1)/m) (m+1)^2 / (4 m).
 
+        For m = 2 this is 3 sqrt(3) b gamma / (8 k) with maximizer u = k/sqrt(3).
+        """
+        m = self.m
+        return (
+            self.b
+            * self.gamma
+            / self.k
+            * ((m - 1.0) / (m + 1.0)) ** ((m - 1.0) / m)
+            * (m + 1.0) ** 2
+            / (4.0 * m)
+        )
 
-def a_of_u(p: Model4Params, u):
-    """Activation a(u) = b (gamma u^m/(k^m + u^m) + k0); requires u >= 0."""
-    if np.any(np.asarray(u) < 0):
-        raise ParameterError("a(u) requires u >= 0")
-    return p.b * (p.gamma * _hill(p, u) + p.k0)
+    def _activation(self, u):
+        # Tolerates round-off negatives produced by the explicit reaction step:
+        # the Hill argument is clipped at zero, nothing else is altered.
+        uc = np.maximum(u, 0.0)
+        um = uc**self.m
+        return self.b * (self.gamma * (um / (self.km + um)) + self.k0)
 
+    def a(self, u):
+        """Activation a(u) = b (gamma u^m/(k^m + u^m) + k0); requires u >= 0."""
+        if np.any(np.asarray(u) < 0):
+            raise ParameterError("a(u) requires u >= 0")
+        out = self._activation(u)
+        return out if out.shape else float(out)
 
-def a_prime(p: Model4Params, u):
-    """Derivative a'(u) = b gamma m k^m u^(m-1) / (k^m + u^m)^2; u >= 0."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0):
-        raise ParameterError("a'(u) requires u >= 0")
-    km = p.km
-    out = p.b * p.gamma * p.m * km * u_arr ** (p.m - 1.0) / (km + u_arr**p.m) ** 2
-    return out if out.shape else float(out)
+    def a_prime(self, u):
+        """Derivative a'(u) = b gamma m k^m u^(m-1) / (k^m + u^m)^2; u >= 0."""
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr < 0):
+            raise ParameterError("a'(u) requires u >= 0")
+        km = self.km
+        out = self.b * self.gamma * self.m * km * u_arr ** (self.m - 1.0) / (km + u_arr**self.m) ** 2
+        return out if out.shape else float(out)
 
+    def f(self, u, v):
+        """v a(u) - delta u, the Hill argument clipped at zero; the linear part acts on u itself."""
+        return v * self._activation(u) - self.delta * u
 
-def alpha_sup(p: Model4Params) -> float:
-    """Supremum of a' over u > 0.
+    def jacobian(self, u, v):
+        """The partial derivatives (fu, fv) = (v a'(u) - delta, a(u)) of f; requires u >= 0."""
+        return v * self.a_prime(u) - self.delta, self.a(u)
 
-    Writing u = k s reduces a'(u) to (b gamma / k) m s^(m-1)/(1+s^m)^2, which
-    is maximized at s = ((m-1)/(m+1))^(1/m), giving
+    def well_mixed_rhs(self, lam: float, U):
+        """Right side of the well-mixed reduction dU/dt = -delta U + a(U)(lam - U)/tau."""
+        return -self.delta * U + self.a(U) * (lam - U) / self.tau
 
-        sup a' = (b gamma / k) ((m-1)/(m+1))^((m-1)/m) (m+1)^2 / (4 m).
+    def well_mixed_potential(self, lam: float, U, method: str = "auto"):
+        """Antiderivative G of the well-mixed right side, G(0) = 0.
 
-    For m = 2 this is 3 sqrt(3) b gamma / (8 k) with maximizer u = k/sqrt(3).
-    """
-    m = p.m
-    return (
-        p.b
-        * p.gamma
-        / p.k
-        * ((m - 1.0) / (m + 1.0)) ** ((m - 1.0) / m)
-        * (m + 1.0) ** 2
-        / (4.0 * m)
-    )
+        Along exact trajectories dG(U)/dt = (G'(U))^2 >= 0, so G is a Lyapunov
+        function for the reduction.  For m = 2 the closed form is
 
-
-# -- reaction terms ----------------------------------------------------
-
-
-def h_model1(p: Model1Params, u):
-    return -p.a * u / (u * u + p.b)
-
-
-def f_model1(p: Model1Params, u, v):
-    return h_model1(p, u) + p.k * v
-
-
-def drift_model1(p: Model1Params, u):
-    """q(u) = h(u) - k D u, the drift of the transformed stationary problem."""
-    return h_model1(p, u) - p.k * p.D * u
-
-
-def drift_primitive_model1(p: Model1Params, u, method: str = "auto"):
-    """Antiderivative Q of q with Q(0) = 0.
-
-    Closed form: Q(u) = -(a/2) log(1 + u^2/b) - k D u^2 / 2.
-    """
-    if method == "quadrature":
-        return _primitive_by_quadrature(lambda s: drift_model1(p, s), u)
-    return -0.5 * p.a * np.log1p(np.asarray(u, dtype=float) ** 2 / p.b) - 0.5 * p.k * p.D * np.asarray(u) ** 2
-
-
-def h_model2(p: Model2Params, z):
-    return -p.alpha1 * z / (p.alpha2 * z + 1.0) ** 2
-
-
-def f_model2(p: Model2Params, u, v):
-    return h_model2(p, u + v) + p.alpha1 * v
-
-
-def drift_model2(p: Model2Params, z):
-    """g(z) = (1 - D) h(z) - alpha1 D z."""
-    return (1.0 - p.D) * h_model2(p, z) - p.alpha1 * p.D * z
-
-
-def drift_primitive_model2(p: Model2Params, z, method: str = "auto"):
-    """Antiderivative G of g with G(0) = 0.
-
-    Closed form via t = alpha2 z + 1:
-    G(z) = -(1-D) alpha1/alpha2^2 (log t + 1/t - 1) - alpha1 D z^2 / 2.
-    """
-    if method == "quadrature":
-        return _primitive_by_quadrature(lambda s: drift_model2(p, s), z)
-    z_arr = np.asarray(z, dtype=float)
-    t = p.alpha2 * z_arr + 1.0
-    head = -(1.0 - p.D) * p.alpha1 / p.alpha2**2 * (np.log(t) + 1.0 / t - 1.0)
-    out = head - 0.5 * p.alpha1 * p.D * z_arr**2
-    return out if out.shape else float(out)
-
-
-def f_model4(p: Model4Params, u, v):
-    return v * a_of_u(p, u) - p.delta * u
-
-
-def ode_rhs_model4(p: Model4Params, lam: float, U):
-    """Right side of the well-mixed reduction dU/dt = -delta U + a(U)(lam - U)/tau."""
-    return -p.delta * U + a_of_u(p, U) * (lam - U) / p.tau
-
-
-def ode_potential_model4(p: Model4Params, lam: float, U, method: str = "auto"):
-    """Antiderivative G of the well-mixed right side, G(0) = 0.
-
-    Along exact trajectories dG(U)/dt = (G'(U))^2 >= 0, so G is a Lyapunov
-    function for the reduction.  For m = 2 the closed form is
-
-        G(U) = -delta U^2/2
-               + (1/tau) [ lam (b k0 U + b gamma (U - k atan(U/k)))
-                           - (b k0 U^2/2 + b gamma (U^2 - k^2 log(1+U^2/k^2))/2) ].
-    """
-    if method not in ("auto", "quadrature"):
-        raise ParameterError(f"unknown potential method {method!r}")
-    if method == "quadrature" or p.m != 2.0:
-        return _primitive_by_quadrature(lambda s: ode_rhs_model4(p, lam, s), U)
-    U_arr = np.asarray(U, dtype=float)
-    k = p.k
-    int_a = p.b * p.k0 * U_arr + p.b * p.gamma * (U_arr - k * np.arctan(U_arr / k))
-    int_sa = 0.5 * p.b * p.k0 * U_arr**2 + p.b * p.gamma * (
-        0.5 * U_arr**2 - 0.5 * k * k * np.log1p(U_arr**2 / (k * k))
-    )
-    out = -0.5 * p.delta * U_arr**2 + (lam * int_a - int_sa) / p.tau
-    return out if out.shape else float(out)
+            G(U) = -delta U^2/2
+                   + (1/tau) [ lam (b k0 U + b gamma (U - k atan(U/k)))
+                               - (b k0 U^2/2 + b gamma (U^2 - k^2 log(1+U^2/k^2))/2) ].
+        """
+        _require_method(method)
+        if method == "quadrature" or self.m != 2.0:
+            return _primitive_by_quadrature(lambda s: self.well_mixed_rhs(lam, s), U)
+        U_arr = np.asarray(U, dtype=float)
+        k, b = self.k, self.b
+        int_a = b * self.k0 * U_arr + b * self.gamma * (U_arr - k * np.arctan(U_arr / k))
+        int_sa = 0.5 * b * self.k0 * U_arr**2 + b * self.gamma * (
+            0.5 * U_arr**2 - 0.5 * k * k * np.log1p(U_arr**2 / (k * k))
+        )
+        out = -0.5 * self.delta * U_arr**2 + (lam * int_a - int_sa) / self.tau
+        return out if out.shape else float(out)
 
 
 # -- adaptive Simpson quadrature --------------------------------------
@@ -341,19 +339,9 @@ def _primitive_by_quadrature(fn: Callable[[float], float], x):
     return float(vals[0])
 
 
-# -- dispatch and structural checks -----------------------------------
+# -- stacked members and structural checks ----------------------------
 
 ModelParams = Model1Params | Model2Params | Model4Params
-
-
-def model_name(p: ModelParams) -> str:
-    if isinstance(p, Model1Params):
-        return "model1"
-    if isinstance(p, Model2Params):
-        return "model2"
-    if isinstance(p, Model4Params):
-        return "model4" if p.m == 2.0 else "model4-general-m"
-    raise ParameterError(f"unknown parameter object {type(p).__name__}")
 
 
 class StackedParams:
@@ -361,9 +349,10 @@ class StackedParams:
 
     A value shared by every member stays as given; one that differs becomes
     a column of shape (B, 1, ...) that broadcasts over its member's field.
-    Elementwise arithmetic then gives each member the bits of its own
-    evaluation.  The Hill exponent must be shared: ``x ** 2.0`` takes numpy's
-    square loop while ``x ** column`` takes ``pow``, whose last bits differ.
+    The model's methods and properties act on these columns, so elementwise
+    arithmetic gives each member the bits of its own evaluation.  The Hill
+    exponent must be shared: ``x ** 2.0`` takes numpy's square loop while
+    ``x ** column`` takes ``pow``, whose last bits differ.
     """
 
     def __init__(self, ps: Sequence[ModelParams], ndim: int) -> None:
@@ -382,23 +371,18 @@ class StackedParams:
             else:
                 setattr(self, name, np.array(values, dtype=float).reshape((-1,) + (1,) * ndim))
 
+    def __getattr__(self, name: str):
+        # a method or property of the model, bound to the stacked columns
+        return getattr(self.model, name).__get__(self)
+
 
 def reaction_rhs(p: ModelParams | StackedParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Vectorized f(u, v) for the solver; identical in both equations.
+    """Vectorized f(u, v) for the solver, identical in both equations: ``p.f``.
 
     With :class:`StackedParams` it acts on fields stacked as (B, *shape),
-    member i with its own parameters.  The model-4 branch evaluates the Hill term with the argument clipped at
-    zero so that round-off negatives from the explicit reaction step do not
-    poison fractional powers; the linear -delta u part is left untouched.
+    member i with its own parameters.
     """
-    model = p.model if isinstance(p, StackedParams) else type(p)
-    if model is Model1Params:
-        return lambda u, v: f_model1(p, u, v)
-    if model is Model2Params:
-        return lambda u, v: f_model2(p, u, v)
-    if model is Model4Params:
-        return lambda u, v: v * (p.b * (p.gamma * _hill(p, u) + p.k0)) - p.delta * u
-    raise ParameterError(f"unknown parameter object {type(p).__name__}")
+    return p.f
 
 
 def quasi_positivity_margins(
@@ -414,8 +398,7 @@ def quasi_positivity_margins(
     u, v >= 0, which is what keeps the nonnegative cone forward invariant.
     """
     rng = np.random.default_rng(seed)
-    f = reaction_rhs(p)
     v_axis = rng.uniform(0.0, v_max, n_samples)
     u_axis = rng.uniform(0.0, u_max, n_samples)
     zeros = np.zeros(n_samples)
-    return float(np.min(f(zeros, v_axis))), float(np.max(f(u_axis, zeros)))
+    return float(np.min(p.f(zeros, v_axis))), float(np.max(p.f(u_axis, zeros)))

@@ -8,12 +8,13 @@ eigenvalue mu of -Laplace feels the 2x2 matrix
 
 where (fu, fv) is the Jacobian of f at the state, for every kinetics:
 constant activation a is fu = -delta, fv = a, Hill is fu = v* a'(u*) - delta,
-fv = a(u*).  Since det M(mu) = mu (D mu + D fv - fu) / tau, M(0) has the
-eigenvalue 0 (the mass direction) and tr M(0) = fu - fv/tau, the slope of the
-well-mixed reduction.  With constant activation the spectrum is real; Hill
-feedback (fu > 0) can make it complex.  The degeneracy residual at the
-equilibrium reads M: tau det M(mu)/mu on a mean-free mode, in its closed
-form, -tr M(0) on the constant mode.
+fv = a(u*), which :meth:`~polarsim.kinetics.Model4Params.jacobian` returns
+and the degeneracy residual reads.  Since det M(mu) = mu (D mu + D fv - fu)
+/ tau, M(0) has the eigenvalue 0 (the mass direction) and tr M(0) =
+fu - fv/tau, the slope of the well-mixed reduction.  With constant
+activation the spectrum is real; Hill feedback (fu > 0) can make it complex.
+The degeneracy residual at the equilibrium reads M: tau det M(mu)/mu on a
+mean-free mode, in its closed form, -tr M(0) on the constant mode.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import EquilibriumError, ParameterError, PolarsimError
 from .grid import Grid
 from .equilibrium import HomogeneousEquilibrium, sample_roots, solve_equilibrium
-from .kinetics import Model4Params, a_of_u, a_prime
+from .kinetics import Model4Params
 
 __all__ = [
     "ModeEigenpair",
@@ -126,8 +127,7 @@ def degeneracy_residual(
         raise ParameterError(f"mode eigenvalue must be >= 0, and > 0 for j >= 2, got {mu_j}")
     if eq is None:
         eq = solve_equilibrium(p, lam)
-    fu = eq.v_star * float(a_prime(p, eq.u_star)) - p.delta
-    fv = float(a_of_u(p, eq.u_star))
+    fu, fv = p.jacobian(eq.u_star, eq.v_star)
     if j == 1:
         tr, _ = _trace_det(mode_matrix(fu, fv, p.D, p.tau, 0.0)[0])
         return -tr
@@ -218,8 +218,8 @@ def linearized_operator_matrix(p: Model4Params, lam: float, g: Grid) -> np.ndarr
         )
     eq = solve_equilibrium(p, lam)
     u = eq.u_star
-    a = float(a_of_u(p, u))
-    ap = float(a_prime(p, u))
+    a = p.a(u)
+    ap = p.a_prime(u)
     c = p.delta + p.D * a + p.D * ap * u - (ap / p.tau) * (lam - p.xi * u)
     n = g.n_nodes
     lap = np.empty((n, n))

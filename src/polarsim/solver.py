@@ -47,10 +47,10 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics, tables
-from .equilibrium import has_homogeneous_equilibrium
+from .equilibrium import check_km, has_homogeneous_equilibrium
 from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
 from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w, transform_z
-from .kinetics import ModelParams, StackedParams, model_name, reaction_rhs
+from .kinetics import Model4Params, ModelParams, StackedParams, reaction_rhs
 
 __all__ = [
     "SolverConfig",
@@ -376,6 +376,8 @@ class _Member:
             raise ParameterError("initial data must be nonnegative")
         if float(np.max(u0.values)) == 0.0 and float(np.max(v0.values)) == 0.0:
             raise ParameterError("initial data must not vanish identically")
+        if isinstance(p, Model4Params):
+            check_km(p)  # before StackedParams takes k^m, and the Hill term 0/k^m
 
         self.g = g
         self.p = p
@@ -563,7 +565,7 @@ def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict
     spec = " ".join([_GRID_KINDS[g.dim - 1], *map(tables.fmt, g.lengths), *map(str, g.counts)])
     header = sorted(meta.items())
     if "model" not in meta:
-        header.append(("model", model_name(p)))
+        header.append(("model", p.name))
     # each coordinate is formatted once and its string repeated down its
     # column: the outermost axis as it is read, an inner one cycled
     coords = []

@@ -79,6 +79,35 @@ v = 0.0
 """
 
 
+# model 4 with a given Hill exponent and half-saturation k; an expression IC
+# needs no equilibrium, so nothing before the run takes k^m
+HILL = """\
+[model]
+kind = model4-general-m
+D = 4.0
+tau = 1.0
+b = 1.0
+gamma = 1.0
+k = {k}
+k0 = 0.1
+delta = 1.0
+m = {m}
+
+[grid]
+length = 1.0
+n = 32
+
+[solver]
+t_end = 0.2
+dt = 0.002
+
+[ic]
+kind = expression
+u = 0.5 + 0.2*cos(pi*x/L)
+v = 0.5
+"""
+
+
 # model 4 with the IC of the study sweep; delta * dt > 1 makes the guard halve dt
 HALVING = """\
 [model]
@@ -241,6 +270,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write table file {out / name}: ")
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "k, m, message", [("2", "1100", "k^m overflows"), ("1e-300", "2", "k^m underflows to 0")]
+    )
+    def test_hill_constant_out_of_float_range_is_one_error_line(self, tmp_path, capsys, k, m, message):
+        # k^m = inf would raise in the stacked parameters; k^m = 0 makes the
+        # Hill term 0/0 at u = 0
+        cfg = write_cfg(tmp_path, HILL.format(k=k, m=m))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {message}: k={float(k)}, m={float(m)}")
 
 
 class TestEquilibrium:
@@ -538,6 +580,18 @@ class TestSweep:
         rows = [l.split()[:2] for l in read_lines(root / "sweep_summary.txt") if not l.startswith("#")]
         assert rows == [["3.5", "failed"], ["4.0", "ok"]]
         assert (root / "model.d=4.0" / "summary.txt").exists()
+
+    def test_overflowing_hill_constant_fails_its_member_only(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HILL.format(k="2", m="1100"))
+        root = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--param", "model.k", "--values", "1,2"]
+        assert main(argv + ["--out", str(root)]) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err.splitlines() == ["error in sweep member model.k=2: k^m overflows: k=2.0, m=1100.0"]
+        assert "1/2 runs succeeded" in out.out
+        rows = [l.split()[:2] for l in read_lines(root / "sweep_summary.txt") if not l.startswith("#")]
+        assert rows == [["1", "ok"], ["2", "failed"]]
+        assert summary_dict(root / "model.k=1" / "summary.txt")["status"] == "ok"
 
     def test_dt_sweep_members_run_alone(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)

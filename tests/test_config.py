@@ -17,7 +17,6 @@ from polarsim.config import (
     load_scenario,
 )
 from polarsim.errors import ConfigError
-from polarsim.kinetics import model_name
 from polarsim.solver import SimState, SolverConfig, write_snapshot
 from polarsim import Field
 
@@ -444,7 +443,7 @@ class TestDerivedSchema:
         cp.read(path)
         model = dict(cp["model"])
         kind = model.pop("kind")
-        assert model_name(scn.params) == kind
+        assert scn.params.name == kind
         attrs = {"d": "D"}
         for key, val in model.items():
             assert getattr(scn.params, attrs.get(key, key)) == float(val), key
@@ -459,7 +458,7 @@ class TestDerivedSchema:
         body, want = MODEL_SECTIONS[kind]
         scn = load_scenario(write_cfg(tmp_path, model_text(kind, body)))
         assert scn.params == want
-        assert model_name(scn.params) == kind
+        assert scn.params.name == kind
 
     @pytest.mark.parametrize("kind,key", REQUIRED_MODEL_KEYS, ids="-".join)
     def test_missing_required_model_key_is_named(self, tmp_path, kind, key):

@@ -38,13 +38,6 @@ from polarsim.diagnostics import (
     write_diagnostics_table,
 )
 from polarsim.errors import DiagnosticsError, ParameterError
-from polarsim.kinetics import (
-    alpha_sup,
-    drift_model1,
-    drift_model2,
-    drift_primitive_model1,
-    drift_primitive_model2,
-)
 from polarsim.solver import SimState, SolverConfig, run, transform_w, transform_z
 
 P1 = Model1Params(D=0.4, tau=1.0, a=1.0, b=1.0, k=1.0)
@@ -177,7 +170,7 @@ class TestEnergyFunctionals:
         c, wv = 0.4, 0.9
         u = Field(g, np.full(33, c))
         w = Field(g, np.full(33, wv))
-        want = -P1.xi * float(drift_primitive_model1(P1, c)) + 0.5 * P1.tau * P1.k * wv**2
+        want = -P1.xi * float(P1.drift_primitive(c)) + 0.5 * P1.tau * P1.k * wv**2
         assert lyapunov_model1(u, w, P1) == pytest.approx(want, rel=1e-13)
 
     def test_lyapunov_model2_constant_state_closed_form(self):
@@ -185,7 +178,7 @@ class TestEnergyFunctionals:
         zv, wv = 1.1, 0.3
         z = Field(g, np.full(33, zv))
         w = Field(g, np.full(33, wv))
-        want = 0.5 * P2.alpha1 * wv**2 - P2.xi * float(drift_primitive_model2(P2, zv))
+        want = 0.5 * P2.alpha1 * wv**2 - P2.xi * float(P2.drift_primitive(zv))
         assert lyapunov_model2(z, w, P2) == pytest.approx(want, rel=1e-13)
 
     def test_grid_mismatch_rejected(self):
@@ -198,13 +191,13 @@ class TestEnergyFunctionals:
         c, lam = 0.8, 1.2
         vf = Field(g, np.full(33, c))
         want1 = (
-            -float(drift_primitive_model1(P1, c))
+            -float(P1.drift_primitive(c))
             - (P1.k / P1.tau) * lam * c
             + (P1.k * P1.xi / (2.0 * P1.tau)) * c * c
         )
         assert variational_energy_model1(vf, P1, lam) == pytest.approx(want1, rel=1e-13)
         want2 = (
-            -float(drift_primitive_model2(P2, c))
+            -float(P2.drift_primitive(c))
             - P2.alpha1 * lam * c
             + 0.5 * P2.alpha1 * P2.xi * c * c
         )
@@ -219,7 +212,7 @@ class TestEnergyFunctionals:
         phi = rng.uniform(-1.0, 1.0, 65)
 
         def weak(vals):
-            q = drift_model1(P1, vals)
+            q = P1.drift(vals)
             m = g.mean(vals)
             return (
                 P1.D * g.dirichlet_form(vals, phi)
@@ -252,7 +245,7 @@ class TestEnergyFunctionals:
             m = g.mean(vals)
             return (
                 P2.D * g.dirichlet_form(vals, phi)
-                - g.inner(drift_model2(P2, vals), phi)
+                - g.inner(P2.drift(vals), phi)
                 - k * lam * g.mean(phi)
                 + k * P2.xi * m * g.mean(phi)
             )
@@ -270,7 +263,7 @@ class TestEnergyFunctionals:
         g = Grid.interval(1.0, 65)
         lam = 1.0
         u_c = brentq(
-            lambda u: drift_model1(P1, u) + (P1.k / P1.tau) * (lam - P1.xi * u),
+            lambda u: P1.drift(u) + (P1.k / P1.tau) * (lam - P1.xi * u),
             0.0,
             2.0,
             xtol=1e-15,
@@ -287,7 +280,7 @@ class TestEnergyFunctionals:
 
         lam2 = 0.5
         z_c = brentq(
-            lambda z: drift_model2(P2, z) + P2.alpha1 * (lam2 - P2.xi * z),
+            lambda z: P2.drift(z) + P2.alpha1 * (lam2 - P2.xi * z),
             0.0,
             2.0,
             xtol=1e-15,

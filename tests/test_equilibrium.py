@@ -29,7 +29,6 @@ from polarsim.equilibrium import (
     sample_roots,
 )
 from polarsim.errors import EquilibriumError, ParameterError
-from polarsim.kinetics import ode_rhs_model4
 
 STD = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
 
@@ -208,7 +207,7 @@ class TestExactRoot:
             assert abs(solve_equilibrium(p, lam).u_star - root) <= 1e-12 * root, (p, lam)
 
     def test_nan_residual_refused(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "f_model4", lambda p, u, v: math.nan)
+        monkeypatch.setattr(Model4Params, "f", lambda p, u, v: math.nan)
         with pytest.raises(EquilibriumError, match="stalled"):
             solve_equilibrium(STD, 1.0)
 
@@ -279,17 +278,17 @@ class TestSampleRoots:
 
 
 def reference_ode(p, lam, U0, t_end, dt):
-    """RK4 over ode_rhs_model4 with whole-run restarts at dt/2: the reference integrator."""
+    """RK4 over Model4Params.well_mixed_rhs with whole-run restarts at dt/2: the reference integrator."""
     inv_tol = 1e-9 * max(1.0, lam)
     for halvings in range(21):
         U = [U0]
         for _ in range(max(1, math.ceil(t_end / dt - 1e-12))):
             x = U[-1]
             try:
-                k1 = float(ode_rhs_model4(p, lam, x))
-                k2 = float(ode_rhs_model4(p, lam, x + 0.5 * dt * k1))
-                k3 = float(ode_rhs_model4(p, lam, x + 0.5 * dt * k2))
-                k4 = float(ode_rhs_model4(p, lam, x + dt * k3))
+                k1 = float(p.well_mixed_rhs(lam, x))
+                k2 = float(p.well_mixed_rhs(lam, x + 0.5 * dt * k1))
+                k3 = float(p.well_mixed_rhs(lam, x + 0.5 * dt * k2))
+                k4 = float(p.well_mixed_rhs(lam, x + dt * k3))
             except ParameterError:  # a stage left u >= 0
                 break
             x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -23,7 +23,6 @@ from scipy.optimize import brentq
 from polarsim import Grid, Model4Params, linearization, solve_equilibrium
 from polarsim.errors import EquilibriumError, ParameterError
 from polarsim.grid import discrete_neumann_eigenvalue
-from polarsim.kinetics import a_of_u, a_prime, ode_rhs_model4
 from polarsim.linearization import (
     degeneracy_residual,
     linearized_operator_matrix,
@@ -137,8 +136,8 @@ class TestHillModeMatrix:
         except EquilibriumError:
             assume(False)
         # the Jacobian of f = v a(u) - delta u at the equilibrium
-        fu = eq.v_star * float(a_prime(p, eq.u_star)) - delta
-        fv = float(a_of_u(p, eq.u_star))
+        fu = eq.v_star * float(p.a_prime(eq.u_star)) - delta
+        fv = float(p.a(eq.u_star))
         M, _ = mode_matrix(fu, fv, D, tau, mu)
         M0, _ = mode_matrix(fu, fv, D, tau, 0.0)
         r2 = degeneracy_residual(p, lam, 2, mu, eq)
@@ -156,8 +155,8 @@ class TestDegeneracyResidual:
         for lam, mu in [(1.0, 0.25), (0.6, 1.0), (2.0, 4.0)]:
             eq = solve_equilibrium(SCAN_P, lam)
             u = eq.u_star
-            a = float(a_of_u(SCAN_P, u))
-            ap = float(a_prime(SCAN_P, u))
+            a = float(SCAN_P.a(u))
+            ap = float(SCAN_P.a_prime(u))
             want = (
                 SCAN_P.D * (mu + a)
                 + SCAN_P.delta
@@ -175,8 +174,8 @@ class TestDegeneracyResidual:
         # and the residual itself is only -1.8e-6
         p = replace(SCAN_P, D=0.1003)
         eq = solve_equilibrium(p, 1.0)
-        fu = eq.v_star * float(a_prime(p, eq.u_star)) - p.delta
-        fv = float(a_of_u(p, eq.u_star))
+        fu = eq.v_star * float(p.a_prime(eq.u_star)) - p.delta
+        fv = float(p.a(eq.u_star))
         D, tau, m, Fu, Fv = map(Fraction, (p.D, p.tau, mu, fu, fv))
         det = (-D * m + Fu) * (-(m + Fv) / tau) - Fv * (-Fu / tau)
         want = tau * det / m
@@ -197,14 +196,14 @@ class TestDegeneracyResidual:
         # -tr M(0) is minus the slope of dU/dt = -delta U + a(U)(lam - U)/tau at u*
         lam, h = 1.0, 1e-5
         u = solve_equilibrium(p, lam).u_star
-        slope = (ode_rhs_model4(p, lam, u + h) - ode_rhs_model4(p, lam, u - h)) / (2.0 * h)
+        slope = (p.well_mixed_rhs(lam, u + h) - p.well_mixed_rhs(lam, u - h)) / (2.0 * h)
         assert degeneracy_residual(p, lam, 1, 0.0) == pytest.approx(-slope, rel=1e-8)
 
     def test_flat_activation_never_degenerate(self):
         # gamma = 0: tau det M(mu)/mu = D (mu + a) + delta and -tr M(0) = a/tau + delta
         p = replace(SCAN_P, gamma=0.0, k0=0.3)
         eq = solve_equilibrium(p, 1.0)
-        a = float(a_of_u(p, eq.u_star))
+        a = float(p.a(eq.u_star))
         for mu in (0.25, 3.0):
             r = degeneracy_residual(p, 1.0, 2, mu)
             want = p.D * mu + p.delta + p.D * a

@@ -18,7 +18,7 @@ import pytest
 
 from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium, solver
 from polarsim.errors import ConfigError, ParameterError, SolverError
-from polarsim.kinetics import model_name, reaction_rhs
+from polarsim.kinetics import reaction_rhs
 from polarsim.tables import BLOCK_ROWS
 from polarsim.solver import (
     SCHEMES,
@@ -695,7 +695,7 @@ def loop_write_snapshot(path, state, p, meta=None):
     lines = ["# polarsim snapshot"]
     for key in sorted(meta or {}):
         lines.append(f"# {key} = {meta[key]}")
-    lines.append(f"# model = {model_name(p)}")
+    lines.append(f"# model = {p.name}")
     lines.append("# t = " + fmt % state.t)
     if g.dim == 1:
         lines.append(f"# grid = interval {fmt % g.lengths[0]} {g.counts[0]}")
