@@ -37,7 +37,6 @@ from .kinetics import (
 from .equilibrium import (
     HomogeneousEquilibrium,
     OdeTrajectory,
-    balance_gap,
     constant_a_equilibrium,
     integrate_homogeneous_ode,
     solve_equilibrium,
@@ -123,7 +122,6 @@ __all__ = [
     # equilibrium
     "HomogeneousEquilibrium",
     "OdeTrajectory",
-    "balance_gap",
     "solve_equilibrium",
     "constant_a_equilibrium",
     "integrate_homogeneous_ode",

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import equilibrium
 from .diagnostics import DEFAULT_C4
 from .equilibrium import has_homogeneous_equilibrium
 from .errors import ConfigError, EquilibriumError, ParameterError
@@ -430,10 +431,8 @@ def _expression_env(scn: ScenarioConfig) -> tuple[dict, set[str]]:
     if scn.ic.lam is not None:
         env["lam"] = scn.ic.lam
         if has_homogeneous_equilibrium(scn.params):
-            from .equilibrium import solve_equilibrium
-
             try:
-                eq = solve_equilibrium(scn.params, scn.ic.lam)
+                eq = equilibrium.solve_equilibrium(scn.params, scn.ic.lam)
             except EquilibriumError as exc:
                 raise ConfigError(f"[ic] cannot provide u_star/v_star: {exc}") from None
             env["u_star"] = eq.u_star
@@ -474,15 +473,13 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
             fields.append(Field(g, arr))
         return fields[0], fields[1]
     # perturbation of the homogeneous equilibrium
-    from .equilibrium import solve_equilibrium
-
     p = scn.params
     if not has_homogeneous_equilibrium(p):
         raise ConfigError(
             "[ic] perturbation needs the Hill-kinetics model with b > 0 and delta > 0"
         )
     try:
-        eq = solve_equilibrium(p, ic.lam)
+        eq = equilibrium.solve_equilibrium(p, ic.lam)
     except EquilibriumError as exc:
         raise ConfigError(f"[ic] equilibrium for lam = {ic.lam} unavailable: {exc}") from None
     if ic.mode == "cosine":

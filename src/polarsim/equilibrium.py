@@ -4,13 +4,14 @@ For total mass lam > 0 the constant state (u*, v*) satisfies
 
     u* + tau v* = lam,        v* a(u*) = delta u*,
 
-which after eliminating v* is the scalar equation A(u) = B(u) on (0, lam) with
+which after eliminating v* = (lam - u*)/tau is the zero on (0, lam) of the
+well-mixed right side
 
-    A(u) = tau delta / b + gamma + k0 + lam tau delta / (b (u - lam)),
-    B(u) = gamma k^m / (k^m + u^m).
+    F(u) = -delta u + a(u) (lam - u) / tau,
 
-A(0) - B(0) = k0 > 0 and A -> -infinity as u -> lam, so a sign change exists;
-uniqueness is audited on a fine grid instead of assumed.
+the reduction dU/dt = F(U) whose trajectories :func:`integrate_homogeneous_ode`
+steps.  F(0) = lam b k0 / tau > 0 > F(lam) = -delta lam, so a sign change
+exists; uniqueness is audited on a fine grid instead of assumed.
 """
 from __future__ import annotations
 
@@ -27,9 +28,6 @@ __all__ = [
     "HomogeneousEquilibrium",
     "has_homogeneous_equilibrium",
     "check_km",
-    "A_of",
-    "B_of",
-    "balance_gap",
     "bisect_root",
     "sample_roots",
     "solve_equilibrium",
@@ -39,7 +37,6 @@ __all__ = [
 ]
 
 AUDIT_POINTS = 10_000
-BRACKET_SHRINK = 1.0 - 1e-12
 
 
 def has_homogeneous_equilibrium(p: ModelParams) -> bool:
@@ -55,19 +52,18 @@ def _check_solvable(p: Model4Params, lam: float) -> None:
             f"balance equation needs b > 0 and delta > 0, got b={p.b}, delta={p.delta}"
         )
     _check_hill(p, lam)
-    try:  # A(u) is largest in size at the audit's last sample, next to its pole at lam
-        pole = lam * p.tau * p.delta / (p.b * (lam * BRACKET_SHRINK - lam))
-    except ZeroDivisionError:
-        pole = -math.inf
-    if not math.isfinite(pole):  # A(u) would be inf, or inf - inf
+    # the two terms of F at their largest on [0, lam], the first in the order
+    # well_mixed_rhs evaluates it; their sum cannot overflow, having opposite signs
+    if not (math.isfinite(p.b * (p.gamma + p.k0) * lam / p.tau) and math.isfinite(p.delta * lam)):
         raise EquilibriumError(
-            f"lam*tau*delta/b overflows near the pole: lam={lam}, tau={p.tau}, delta={p.delta}, b={p.b}"
+            f"b*(gamma+k0)*lam/tau or delta*lam overflows: lam={lam}, tau={p.tau}, "
+            f"b={p.b}, gamma={p.gamma}, k0={p.k0}, delta={p.delta}"
         )
 
 
 def _check_hill(p: Model4Params, lam: float) -> None:
     """The Hill term u^m/(k^m + u^m) on [0, lam] must stay in the float range."""
-    try:  # the refinement takes u**m, u < lam, on plain floats, where overflow raises
+    try:  # the refinement takes u**m, u <= lam, on plain floats, where overflow raises
         lam**p.m + p.km
     except OverflowError:
         raise EquilibriumError(f"lam^m or k^m overflows: lam={lam}, k={p.k}, m={p.m}") from None
@@ -84,31 +80,17 @@ def check_km(p: Model4Params) -> None:
         raise EquilibriumError(f"k^m underflows to 0: k={p.k}, m={p.m}")
 
 
-def A_of(p: Model4Params, lam: float, u):
-    """Rational branch of the balance equation; has a pole at u = lam."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr == lam):
-        raise ParameterError(f"A(u) has a pole at u = lam = {lam}")
-    out = (
-        p.tau * p.delta / p.b
-        + p.gamma
-        + p.k0
-        + lam * p.tau * p.delta / (p.b * (u_arr - lam))
-    )
-    return out if out.shape else float(out)
+def _float_rhs(p: Model4Params, lam: float) -> Callable[[float], float]:
+    """Model4Params.well_mixed_rhs on a plain float, with its operations in the same order."""
+    delta, b, gamma, k0, km, m, tau = p.delta, p.b, p.gamma, p.k0, p.km, p.m, p.tau
 
+    def rhs(x: float) -> float:
+        if x < 0.0:
+            raise ParameterError("a(u) requires u >= 0")
+        xm = x**m
+        return -delta * x + b * (gamma * (xm / (km + xm)) + k0) * (lam - x) / tau
 
-def B_of(p: Model4Params, u):
-    """Saturation branch B(u) = gamma k^m / (k^m + u^m)."""
-    u_arr = np.asarray(u, dtype=float)
-    km = p.km
-    out = p.gamma * km / (km + u_arr**p.m)
-    return out if out.shape else float(out)
-
-
-def balance_gap(p: Model4Params, lam: float, u):
-    """Phi(u) = A(u) - B(u); its root in (0, lam) is the equilibrium u*."""
-    return A_of(p, lam, u) - B_of(p, u)
+    return rhs
 
 
 def bisect_root(
@@ -183,11 +165,12 @@ def solve_equilibrium(
 ) -> HomogeneousEquilibrium:
     """Solve the homogeneous balance equation for total mass lam.
 
-    Audits Phi = A - B on a uniform grid of ``AUDIT_POINTS`` points over
-    (0, lam) and reads its roots with :func:`sample_roots`: an exact-zero
-    sample, or a sign change halved down to adjacent floats whose end with
-    the smaller |Phi| is taken.  Exactly one root is required; none or
-    several are reported as errors rather than silently resolved.
+    Audits the well-mixed right side F (``Model4Params.well_mixed_rhs``) on a
+    uniform grid of ``AUDIT_POINTS`` points over [0, lam] and reads its roots
+    with :func:`sample_roots`: an exact-zero sample, or a sign change halved
+    down to adjacent floats whose end with the smaller |F| is taken.  Exactly
+    one root is required; none or several are reported as errors rather than
+    silently resolved.
 
     Parameters
     ----------
@@ -197,24 +180,15 @@ def solve_equilibrium(
         Conserved total mass, positive.
     trace : list or None
         When a list is supplied, bisection iterations are appended to it as
-        (iteration, lo, hi, Phi(mid)) tuples, one per halving.
+        (iteration, lo, hi, F(mid)) tuples, one per halving.
 
     Returns
     -------
     HomogeneousEquilibrium
     """
     _check_solvable(p, lam)
-    tau, delta, b, gamma, k0, km, m = p.tau, p.delta, p.b, p.gamma, p.k0, p.km, p.m
-
-    def gap(u: float) -> float:
-        """balance_gap on a plain float, with its operations in the same order."""
-        return (
-            tau * delta / b + gamma + k0 + lam * tau * delta / (b * (u - lam))
-            - gamma * km / (km + u**m)
-        )
-
-    us = np.linspace(0.0, lam * BRACKET_SHRINK, AUDIT_POINTS)
-    roots = sample_roots(gap, us, balance_gap(p, lam, us), trace)
+    us = np.linspace(0.0, lam, AUDIT_POINTS)
+    roots = sample_roots(_float_rhs(p, lam), us, p.well_mixed_rhs(lam, us), trace)
     if not roots:
         raise EquilibriumError(
             f"no sign change of the balance gap on (0, {lam}); "
@@ -293,15 +267,7 @@ def integrate_homogeneous_ode(
     if abs(n_steps * dt - t_end) > 1e-8 * t_end:
         raise ParameterError(f"t_end = {t_end} is not an integer number of steps of dt = {dt}")
     inv_tol = 1e-9 * max(1.0, lam)
-    delta, b, gamma, k0, km, m, tau = p.delta, p.b, p.gamma, p.k0, p.km, p.m, p.tau
-
-    def rhs(x: float) -> float:
-        """Model4Params.well_mixed_rhs on a plain float, with its operations in the same order."""
-        if x < 0.0:
-            raise ParameterError("a(u) requires u >= 0")
-        xm = x**m
-        return -delta * x + b * (gamma * (xm / (km + xm)) + k0) * (lam - x) / tau
-
+    rhs = _float_rhs(p, lam)
     dt_cur = float(dt)
     for halvings in range(21):
         n = n_steps * 2**halvings

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import diagnostics, tables
+from . import diagnostics, equilibrium, tables
 from .equilibrium import check_km, has_homogeneous_equilibrium
 from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
 from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w, transform_z
@@ -393,10 +393,8 @@ class _Member:
 
         self.equilibrium = None
         if has_homogeneous_equilibrium(p):
-            from .equilibrium import solve_equilibrium
-
             try:
-                self.equilibrium = solve_equilibrium(p, self.lam0)
+                self.equilibrium = equilibrium.solve_equilibrium(p, self.lam0)
             except EquilibriumError:
                 self.equilibrium = None
 

@@ -341,11 +341,37 @@ class TestEquilibrium:
             assert len(out.err.splitlines()) == 1
 
     def test_overflowing_balance_is_one_error_line(self, capsys):
-        # tau delta overflows a float: numpy would warn on inf - inf in the audit
-        assert main(["equilibrium", "--tau", "1e300", "--delta", "1e10"]) == EXIT_RUNTIME
+        # tau delta overflows a float, but the well-mixed right side has no
+        # pole: its root is u* ~ lam b k0 / (tau delta) = 1e-311
+        assert main(["equilibrium", "--tau", "1e300", "--delta", "1e10"]) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "u_star = 9.9999999999994754e-312" in out.out.splitlines()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--b", "1e200", "--tau", "1e-200"], ["--gamma", "1e300", "--b", "1e10"], ["--delta", "1e200", "--lam", "1e150"]],
+    )
+    def test_overflowing_term_of_the_right_side_is_one_error_line(self, capsys, flags):
+        # numpy would warn on the inf terms of the audit (filterwarnings = error)
+        assert main(["equilibrium", *flags]) == EXIT_RUNTIME
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: lam*tau*delta/b overflows") and len(out.err.splitlines()) == 1
+        assert "overflows" in out.err and len(out.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--k0", "1e-300"], ["--gamma", "0", "--k0", "1e-300"], ["--b", "1e-300"]]
+    )
+    def test_tiny_parameters_get_their_root(self, capsys, flags):
+        # at these sizes a(u*) = b k0, so u* = lam b k0 / (b k0 + tau delta)
+        assert main(["equilibrium", *flags]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        values = dict(l.split(" = ", 1) for l in lines if " = " in l and not l.startswith("#"))
+        args = dict(zip(flags[::2], map(float, flags[1::2])))
+        a0 = args.get("--b", 1.0) * args.get("--k0", 0.1)
+        assert float(values["u_star"]) == pytest.approx(a0 / (a0 + 1.0), rel=1e-12, abs=0.0)
+        if "constant_a_gap" in values:
+            assert float(values["constant_a_gap"]) <= 1e-12 * float(values["u_star"])
 
 
 class TestOde:
@@ -407,6 +433,12 @@ def test_scan_with_every_sample_failed_is_one_error_line(capsys, caplog, param, 
     assert errors[0].startswith(f"error: every sample of the {param} scan failed")
     assert "k^m underflows to 0" in errors[0]
     assert len(caplog.messages) == 5 and all("failed" in m for m in caplog.messages)
+
+
+def test_scan_over_tiny_delta_evaluates_every_sample(capsys, caplog):
+    assert main(["scan", "--param", "delta", "--lo", "1e-300", "--hi", "1e-299", "--samples", "5"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert caplog.messages == []
 
 
 class TestCheck:

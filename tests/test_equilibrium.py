@@ -19,15 +19,7 @@ from scipy.optimize import brentq
 
 from polarsim import Model4Params, constant_a_equilibrium, solve_equilibrium
 from polarsim import equilibrium
-from polarsim.equilibrium import (
-    A_of,
-    B_of,
-    OdeTrajectory,
-    balance_gap,
-    bisect_root,
-    integrate_homogeneous_ode,
-    sample_roots,
-)
+from polarsim.equilibrium import OdeTrajectory, bisect_root, integrate_homogeneous_ode, sample_roots
 from polarsim.errors import EquilibriumError, ParameterError
 
 STD = Model4Params(D=4.0, tau=1.0, b=1.0, gamma=1.0, k=1.0, k0=0.1, delta=1.0)
@@ -55,31 +47,6 @@ def mass_balance(p: Model4Params, lam: float, u: float) -> float:
     hill = u**p.m / (p.k**p.m + u**p.m)
     a = p.b * (p.gamma * hill + p.k0)
     return a * (lam - u) / p.tau - p.delta * u
-
-
-class TestBalanceBranches:
-    def test_landmark_values(self):
-        # A(0) = gamma + k0 after the pole term cancels the tau delta / b
-        # offset, and B(0) = gamma, so the gap at zero is exactly k0.
-        assert A_of(STD, 1.0, 0.0) == pytest.approx(STD.gamma + STD.k0, rel=1e-13)
-        assert B_of(STD, 0.0) == STD.gamma
-        assert balance_gap(STD, 1.0, 0.0) == pytest.approx(STD.k0, rel=1e-12, abs=1e-15)
-        assert B_of(STD, STD.k) == pytest.approx(0.5 * STD.gamma, rel=1e-15)
-
-    def test_A_pole_rejected(self):
-        with pytest.raises(ParameterError):
-            A_of(STD, 1.0, 1.0)
-
-    def test_B_decreasing(self):
-        u = np.linspace(0.0, 5.0, 200)
-        vals = B_of(STD, u)
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_gap_is_difference(self):
-        u = np.array([0.1, 0.4, 0.8])
-        np.testing.assert_allclose(
-            balance_gap(STD, 1.0, u), A_of(STD, 1.0, u) - B_of(STD, u), rtol=1e-15
-        )
 
 
 class TestSolveEquilibrium:
@@ -217,21 +184,83 @@ class TestExactRoot:
             solve_equilibrium(replace(STD, m=m), lam)
 
     def test_overflowing_balance_refused(self):
-        # tau delta = inf would make the audit's gaps inf - inf
+        # tau delta = 1e310 overflows a float, which refused the balance
+        # A - B with its pole at lam; F = -delta u + a(u)(lam - u)/tau has no
+        # pole, and its root u* ~ lam b k0 / (tau delta) = 1e-311 is answered
+        eq = solve_equilibrium(replace(STD, tau=1e300, delta=1e10), 1.0)
+        assert eq.u_star == 9.9999999999994754e-312
+
+    @pytest.mark.parametrize(
+        "changes", [dict(b=1e200, tau=1e-200), dict(gamma=1e300, b=1e10), dict(delta=1e200)]
+    )
+    def test_overflowing_term_refused(self, changes):
+        lam = 1e150 if "delta" in changes else 1.0
         with pytest.raises(EquilibriumError, match="overflows"):
-            solve_equilibrium(replace(STD, tau=1e300, delta=1e10), 1.0)
+            solve_equilibrium(replace(STD, **changes), lam)
 
     def test_exact_zero_sample_counts_toward_uniqueness(self, monkeypatch):
-        real = equilibrium.balance_gap
+        real = Model4Params.well_mixed_rhs
 
         def with_zero(p, lam, u):
-            gaps = real(p, lam, u)
-            gaps[-10] = 0.0  # far above the one sign change near u = 0.099
-            return gaps
+            values = real(p, lam, u)
+            if np.ndim(values):  # the audited samples, not a refinement step
+                values[-10] = 0.0  # far above the one sign change near u = 0.099
+            return values
 
-        monkeypatch.setattr(equilibrium, "balance_gap", with_zero)
+        monkeypatch.setattr(Model4Params, "well_mixed_rhs", with_zero)
         with pytest.raises(EquilibriumError, match="2 sign changes"):
             solve_equilibrium(STD, 1.0)
+
+
+def exact_rhs(p: Model4Params, lam, u) -> Fraction:
+    """F(u) = -delta u + a(u)(lam - u)/tau in exact rational arithmetic; m must be an integer."""
+    tau, delta, b, gamma, k0, k = map(Fraction, (p.tau, p.delta, p.b, p.gamma, p.k0, p.k))
+    L, U, m = Fraction(lam), Fraction(u), int(p.m)
+    return -delta * U + b * (gamma * U**m / (k**m + U**m) + k0) * (L - U) / tau
+
+
+def exact_well_mixed_root(p: Model4Params, lam: float) -> Fraction:
+    """The root of F on [0, lam], bisected in Fractions to a bracket under a quarter ulp."""
+    lo, hi = Fraction(0), Fraction(lam)
+    assert exact_rhs(p, lam, lo) > 0 > exact_rhs(p, lam, hi)
+    while True:
+        mid = (lo + hi) / 2
+        if hi - lo < Fraction(math.ulp(float(mid))) / 4:
+            return mid
+        f = exact_rhs(p, lam, mid)
+        if f == 0:
+            return mid
+        lo, hi = (mid, hi) if f > 0 else (lo, mid)
+
+
+def assert_within_ulps(p: Model4Params, lam: float, ulps: int = 4) -> None:
+    exact = exact_well_mixed_root(p, lam)
+    u_star = solve_equilibrium(p, lam).u_star
+    assert abs(Fraction(u_star) - exact) <= ulps * Fraction(math.ulp(float(exact))), (p, lam, u_star)
+
+
+class TestWellMixedRoot:
+    @pytest.mark.parametrize("delta", [0.22, 1.0, 26.0, 40.0, 1e2, 1e4, 1e6, 1e8])
+    def test_cli_defaults_within_four_ulps(self, delta):
+        assert_within_ulps(replace(STD, delta=delta), 1.0)
+
+    def test_log_uniform_draws_within_four_ulps(self):
+        rng = random.Random(20203)
+
+        def draw(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for _ in range(100):
+            p = Model4Params(
+                D=1.0,
+                tau=draw(0.1, 10.0),
+                b=draw(0.1, 10.0),
+                gamma=draw(0.1, 10.0),
+                k=draw(0.1, 10.0),
+                k0=draw(0.01, 1.0),
+                delta=draw(0.1, 1e6),
+            )
+            assert_within_ulps(p, draw(0.01, 10.0))
 
 
 class TestBisectRoot:
