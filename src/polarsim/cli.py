@@ -354,7 +354,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         closed = constant_a_equilibrium(p.a0, p.tau, p.delta, args.lam)
         print(f"constant_a_u_star = {fmt(closed)}")
         print(f"constant_a_gap = {fmt(abs(closed - eq.u_star))}")
-    print("# bisection trace: iter lo hi gap_mid")
+    print("# bisection trace: iter lo hi F_mid")
     if trace:
         print(format_rows(trace))
     return EXIT_OK

@@ -52,7 +52,6 @@ __all__ = [
     "load_scenario",
     "build_initial_condition",
     "compile_expression",
-    "config_hash",
 ]
 
 _PERTURBATION_MODES = ("cosine", "random")

@@ -30,10 +30,8 @@ from .grid import Field, Grid, SimState, transform_z
 from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
 
 __all__ = [
-    "RECORD_COLUMNS",
     "DiagnosticsRecord",
     "RecordBuilder",
-    "attach_identity_residuals",
     "ConditionReport",
     "check_coupling_condition",
     "check_contraction_condition",

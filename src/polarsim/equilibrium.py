@@ -26,10 +26,6 @@ from .kinetics import Model4Params, ModelParams
 
 __all__ = [
     "HomogeneousEquilibrium",
-    "has_homogeneous_equilibrium",
-    "check_km",
-    "bisect_root",
-    "sample_roots",
     "solve_equilibrium",
     "constant_a_equilibrium",
     "OdeTrajectory",
@@ -37,6 +33,10 @@ __all__ = [
 ]
 
 AUDIT_POINTS = 10_000
+RESIDUAL_SLACK = 4.0  # c of the residual gate, see _residual_tolerance
+# the most fixed steps a run of the ODE or of the PDE solver may plan; more is
+# refused before the first step (a pattern run to t = 1500 at dt = 0.01 takes 1.5e5)
+MAX_STEPS = 10**9
 
 
 def has_homogeneous_equilibrium(p: ModelParams) -> bool:
@@ -170,7 +170,8 @@ def solve_equilibrium(
     with :func:`sample_roots`: an exact-zero sample, or a sign change halved
     down to adjacent floats whose end with the smaller |F| is taken.  Exactly
     one root is required; none or several are reported as errors rather than
-    silently resolved.
+    silently resolved, and so is a root whose |f(u*, v*)| exceeds what a
+    float next to the root can reach (:func:`_residual_tolerance`).
 
     Parameters
     ----------
@@ -191,25 +192,40 @@ def solve_equilibrium(
     roots = sample_roots(_float_rhs(p, lam), us, p.well_mixed_rhs(lam, us), trace)
     if not roots:
         raise EquilibriumError(
-            f"no sign change of the balance gap on (0, {lam}); "
+            f"no sign change of the well-mixed right side F on (0, {lam}); "
             "check that k0 > 0 and the parameters are admissible"
         )
     if len(roots) > 1:
         locs = ", ".join(f"({lo:.6g}, {hi:.6g})" for (lo, hi), _, _ in roots)
         raise EquilibriumError(
-            f"{len(roots)} sign changes of the balance gap on (0, {lam}) at {locs}; "
+            f"{len(roots)} sign changes of the well-mixed right side F on (0, {lam}) at {locs}; "
             "the uniqueness assumptions are violated for these parameters, refusing to guess"
         )
     u_star = roots[0][1]
     v_star = (lam - u_star) / p.tau
     residual = float(p.f(u_star, v_star))
-    res_scale = max(1.0, p.delta * lam)
-    if not abs(residual) <= 1e-10 * res_scale:
+    tol = _residual_tolerance(p, u_star, v_star)
+    if not abs(residual) <= tol:
         raise EquilibriumError(
             f"equilibrium refinement stalled: |f(u*, v*)| = {abs(residual):.3e} "
-            f"exceeds tolerance {1e-10 * res_scale:.3e}"
+            f"exceeds tolerance {tol:.3e}"
         )
     return HomogeneousEquilibrium(lam, u_star, v_star, residual)
+
+
+def _residual_tolerance(p: Model4Params, u: float, v: float) -> float:
+    """RESIDUAL_SLACK times the |f(u, v)| that a float next to the root can reach.
+
+    One ulp moves F by |F'(u)| ulp(u), F' = fu - fv/tau = tr M(0), and rounding
+    f adds eps times its terms delta u and v a(u).  A slope that a' makes
+    inf or NaN in floats is read as inf: the bracketed root then stands.
+    """
+    with np.errstate(all="ignore"):
+        fu, fv = p.jacobian(u, v)
+    slope = abs(fu - fv / p.tau)
+    if math.isnan(slope):
+        slope = math.inf
+    return RESIDUAL_SLACK * (slope * math.ulp(u) + np.finfo(float).eps * (p.delta * u + v * p.a(u)))
 
 
 def constant_a_equilibrium(a: float, tau: float, delta: float, lam: float) -> float:
@@ -250,11 +266,12 @@ def integrate_homogeneous_ode(
 ) -> OdeTrajectory:
     """Integrate dU/dt = -delta U + a(U)(lam - U)/tau with classical RK4.
 
-    t_end must be a whole number of dt steps (to 1e-8 t_end).  [0, lam] is
-    forward invariant for the exact flow; if a numerical step leaves it by
-    more than 1e-9 (absolute, scaled by max(1, lam)) the whole trajectory is
-    restarted with dt halved, up to 20 times.  The potential G (antiderivative
-    of the right side) is recorded at every step.
+    t_end must be a whole number of dt steps (to 1e-8 t_end), at most
+    ``MAX_STEPS`` of them.  [0, lam] is forward invariant for the exact flow;
+    if a numerical step leaves it by more than 1e-9 (absolute, scaled by
+    max(1, lam)) the whole trajectory is restarted with dt halved, up to 20
+    times.  The potential G (antiderivative of the right side) is recorded at
+    every step.
     """
     if not (0.0 <= U0 <= lam < math.inf):
         raise ParameterError(f"U0 must lie in [0, lam] with lam finite, got U0={U0}, lam={lam}")
@@ -263,6 +280,8 @@ def integrate_homogeneous_ode(
     if not math.isfinite(t_end / dt):
         raise ParameterError(f"t_end / dt is not a finite step count: t_end={t_end}, dt={dt}")
     _check_hill(p, lam)
+    if t_end / dt > MAX_STEPS:
+        raise ParameterError(f"t_end / dt = {t_end / dt:.3g} steps, past the bound of {MAX_STEPS:.0e} per run")
     n_steps = max(1, round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-8 * t_end:
         raise ParameterError(f"t_end = {t_end} is not an integer number of steps of dt = {dt}")

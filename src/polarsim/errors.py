@@ -3,6 +3,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
+__all__ = [
+    "PolarsimError",
+    "ParameterError",
+    "GridMismatchError",
+    "EquilibriumError",
+    "QuadratureError",
+    "SolverError",
+    "DiagnosticsError",
+    "ConfigError",
+]
+
 
 class PolarsimError(Exception):
     """Base class for all errors raised by polarsim."""

@@ -37,7 +37,6 @@ __all__ = [
     "transform_z",
     "neumann_eigenvalue",
     "discrete_neumann_eigenvalue",
-    "EIGENVALUE_MODES",
     "second_eigenvalue",
 ]
 

@@ -36,7 +36,6 @@ __all__ = [
     "Model4Params",
     "ModelParams",
     "reaction_rhs",
-    "StackedParams",
     "quasi_positivity_margins",
 ]
 

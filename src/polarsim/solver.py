@@ -49,17 +49,13 @@ import numpy as np
 from . import diagnostics, equilibrium, tables
 from .equilibrium import check_km, has_homogeneous_equilibrium
 from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
-from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w, transform_z
+from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w
 from .kinetics import Model4Params, ModelParams, StackedParams, reaction_rhs
 
 __all__ = [
     "SolverConfig",
-    "SimState",
     "RunResult",
-    "transform_w",
-    "transform_z",
     "default_dt",
-    "batch_key",
     "run",
     "write_snapshot",
     "read_snapshot",
@@ -383,9 +379,10 @@ class _Member:
         self.p = p
         self.lam0 = g.mean(u0.values + p.tau * v0.values)
         self.dt = cfg.dt if cfg.dt is not None else default_dt(g, p)
-        if not math.isfinite(cfg.t_end / self.dt):
-            raise ConfigError(f"t_end / dt is not a finite step count: t_end = {cfg.t_end}, dt = {self.dt}")
-        self.n_steps = max(1, int(round(cfg.t_end / self.dt)))
+        steps = cfg.t_end / self.dt
+        if not steps <= equilibrium.MAX_STEPS:  # an inf step count too
+            raise ConfigError(f"t_end / dt = {steps:.3g} steps, past the bound of {equilibrium.MAX_STEPS:.0e} per run")
+        self.n_steps = max(1, int(round(steps)))
         if abs(self.n_steps * self.dt - cfg.t_end) > 1e-8 * cfg.t_end:
             raise ConfigError(
                 f"t_end = {cfg.t_end} is not an integer number of steps of dt = {self.dt}"

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import polarsim
-from polarsim import Field, Grid, Model4Params, cli, solve_equilibrium, solver
+from polarsim import Field, Grid, Model4Params, cli, equilibrium, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from polarsim.equilibrium import integrate_homogeneous_ode
 from polarsim.errors import EquilibriumError
@@ -308,6 +308,15 @@ class TestEquilibrium:
         assert float(values["residual"]) <= 1e-10
         assert trace_rows >= 10
 
+    @pytest.mark.parametrize("gamma", ["1e8", "1e12"])
+    def test_root_next_to_lam_is_answered(self, capsys, gamma):
+        assert main(["equilibrium", "--gamma", gamma]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        values = dict(line.split(" = ") for line in out if " = " in line)
+        u_star, v_star = float(values["u_star"]), float(values["v_star"])
+        assert 1.0 - 3.0 / float(gamma) < u_star < 1.0
+        assert v_star == 1.0 - u_star
+
     def test_constant_activation_reports_closed_form(self, capsys):
         rc = main(["equilibrium", "--gamma", "0.0", "--lam", "1.0"])
         assert rc == EXIT_OK
@@ -407,6 +416,20 @@ class TestOde:
         assert main(["ode", "--t-end", "1e10", "--dt", "1e-300"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("parameter error: t_end / dt is not a finite step count")
+
+    @pytest.mark.parametrize("t_end, dt", [("1e200", "0.01"), ("1", "1e-300")])
+    def test_step_count_past_the_bound_exits_2(self, capsys, t_end, dt):
+        assert main(["ode", "--t-end", t_end, "--dt", dt]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        steps = f"{float(t_end) / float(dt):.3g}"
+        assert out.err == f"parameter error: t_end / dt = {steps} steps, past the bound of 1e+09 per run\n"
+
+    def test_step_bound_admits_its_own_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(equilibrium, "MAX_STEPS", 10)
+        assert main(["ode", "--t-end", "0.1", "--dt", "0.01"]) == EXIT_OK
+        assert main(["ode", "--t-end", "0.11", "--dt", "0.01"]) == EXIT_CONFIG
+        assert "past the bound of 1e+01 per run" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "ode", "scan"])
@@ -802,18 +825,10 @@ def test_non_finite_float_flag_is_one_error_line(capsys, command, flag, value):
     assert len(out.err.splitlines()) == 1, out.err
 
 
-# a finite but huge step count runs for ever: these wait for a bound on run work
-RUNAWAY = {("ode", "--t-end", "1e200"), ("ode", "--dt", "1e-300")}
-
-
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        pytest.param(
-            cmd, flag, value,
-            marks=[pytest.mark.skip(reason="runs for ever until run work is bounded (ROADMAP item 1)")]
-            if (cmd, flag, value) in RUNAWAY else [],
-        )
+        (cmd, flag, value)
         for cmd in FLOAT_FLAG_COMMANDS
         for flag in _float_flags(cmd)
         for value in ("1e200", "-1e200", "1e-300")
@@ -1217,6 +1232,26 @@ def test_sweep_member_failing_set_up_first_spares_the_next(tmp_path, capsys, par
     assert {row[0]: row[1] for row in _sweep_rows(root)} == {bad: "failed", good: "ok"}
     assert summary_dict(root / f"{param}={good}" / "summary.txt")["status"] == "ok"
     assert (root / f"{param}={good}" / "final_state.txt").exists()
+
+
+def test_simulate_past_the_step_bound_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUICK.replace("t_end = 0.2", "t_end = 1e200"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: t_end / dt = 5e+202 steps, past the bound of 1e+09 per run\n"
+
+
+def test_sweep_member_past_the_step_bound_fails_alone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUICK)
+    root = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", "solver.t_end", "--values", "1e200,0.2", "--out", str(root)]
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error in sweep member solver.t_end=1e200: t_end / dt = 5e+202 steps, "
+                   "past the bound of 1e+09 per run"]
+    assert {row[0]: row[1] for row in _sweep_rows(root)} == {"1e200": "failed", "0.2": "ok"}
+    assert summary_dict(root / "solver.t_end=0.2" / "summary.txt")["status"] == "ok"
 
 
 def test_sweep_member_set_up_failure_is_printed(tmp_path, capsys):

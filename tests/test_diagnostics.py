@@ -38,7 +38,8 @@ from polarsim.diagnostics import (
     write_diagnostics_table,
 )
 from polarsim.errors import DiagnosticsError, ParameterError
-from polarsim.solver import SimState, SolverConfig, run, transform_w, transform_z
+from polarsim.grid import transform_z
+from polarsim.solver import SimState, SolverConfig, run, transform_w
 
 P1 = Model1Params(D=0.4, tau=1.0, a=1.0, b=1.0, k=1.0)
 P2 = Model2Params(D=0.4, tau=2.0, alpha1=1.0, alpha2=1.0)

@@ -211,6 +211,19 @@ class TestExactRoot:
         with pytest.raises(EquilibriumError, match="2 sign changes"):
             solve_equilibrium(STD, 1.0)
 
+    def test_wrong_root_refused(self, monkeypatch):
+        real = Model4Params.well_mixed_rhs
+
+        def shifted(p, lam, u):
+            if np.ndim(u):  # the audited samples: their sign change moves 3 samples below u*
+                return real(p, lam, u + 3e-4)
+            return real(p, lam, u)
+
+        # the bracket holds no root of F, so its end is a float where F ~ 3e-4 F'
+        monkeypatch.setattr(Model4Params, "well_mixed_rhs", shifted)
+        with pytest.raises(EquilibriumError, match="stalled"):
+            solve_equilibrium(STD, 1.0)
+
 
 def exact_rhs(p: Model4Params, lam, u) -> Fraction:
     """F(u) = -delta u + a(u)(lam - u)/tau in exact rational arithmetic; m must be an integer."""
@@ -243,6 +256,11 @@ class TestWellMixedRoot:
     @pytest.mark.parametrize("delta", [0.22, 1.0, 26.0, 40.0, 1e2, 1e4, 1e6, 1e8])
     def test_cli_defaults_within_four_ulps(self, delta):
         assert_within_ulps(replace(STD, delta=delta), 1.0)
+
+    @pytest.mark.parametrize("gamma", [1e8, 1e12])
+    def test_root_next_to_lam_within_four_ulps(self, gamma):
+        # u* = 1 - 2/gamma: |f(u*, v*)| of 1.5e-9 and 2.2e-5 is what one ulp of u* moves F by
+        assert_within_ulps(replace(STD, gamma=gamma), 1.0)
 
     def test_log_uniform_draws_within_four_ulps(self):
         rng = random.Random(20203)

@@ -18,6 +18,7 @@ import pytest
 
 from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium, solver
 from polarsim.errors import ConfigError, ParameterError, SolverError
+from polarsim.grid import transform_z
 from polarsim.kinetics import reaction_rhs
 from polarsim.tables import BLOCK_ROWS
 from polarsim.solver import (
@@ -32,7 +33,6 @@ from polarsim.solver import (
     read_snapshot,
     run,
     transform_w,
-    transform_z,
     write_snapshot,
 )
 
