@@ -416,17 +416,10 @@ def compile_expression(text: str, names: set[str]):
 
 def _expression_env(scn: ScenarioConfig) -> tuple[dict, set[str]]:
     g = scn.grid
-    env: dict = {"pi": math.pi, "L": g.lengths[0]}
-    names = {"x", "pi", "L", "lam", "u_star", "v_star"}
-    if g.dim == 1:
-        env["x"] = g.coords()[0]
-    else:
-        xs, ys = g.meshgrid()
-        env["x"] = xs
-        env["y"] = ys
-        env["Lx"] = g.lengths[0]
-        env["Ly"] = g.lengths[1]
-        names |= {"y", "Lx", "Ly"}
+    env: dict = dict(zip("xy", g.meshgrid()), pi=math.pi, L=g.lengths[0])
+    if g.dim == 2:
+        env["Lx"], env["Ly"] = g.lengths
+    names = {*env, "lam", "u_star", "v_star"}
     if scn.ic.lam is not None:
         env["lam"] = scn.ic.lam
         if has_homogeneous_equilibrium(scn.params):
@@ -482,12 +475,8 @@ def build_initial_condition(scn: ScenarioConfig) -> tuple[Field, Field]:
     except EquilibriumError as exc:
         raise ConfigError(f"[ic] equilibrium for lam = {ic.lam} unavailable: {exc}") from None
     if ic.mode == "cosine":
-        if g.dim == 1:
-            x = g.coords()[0]
-            bump = np.cos(math.pi * x / g.lengths[0])
-        else:
-            xs, ys = g.meshgrid()
-            bump = np.cos(math.pi * xs / g.lengths[0]) * np.cos(math.pi * ys / g.lengths[1])
+        cosines = (np.cos(math.pi * x / L) for x, L in zip(g.meshgrid(), g.lengths))
+        bump = functools.reduce(np.multiply, cosines)
         u = eq.u_star * (1.0 + ic.amplitude * bump)
     else:
         rng = np.random.default_rng(ic.seed)

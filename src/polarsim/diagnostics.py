@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tables
 from .errors import DiagnosticsError, ParameterError
-from .grid import Field, Grid, SimState, transform_z
+from .grid import Field, Grid, SimState
 from .kinetics import Model1Params, Model2Params, Model4Params, ModelParams
 
 __all__ = [
@@ -214,7 +214,7 @@ class RecordBuilder:
             lyap = lyapunov_model1(state.u, Field(g, w), p)
             self._slide(g, state.t, u, w)
         elif isinstance(p, Model2Params):
-            z = transform_z(state)
+            z = Field(g, u + v)
             lyap = lyapunov_model2(z, Field(g, w), p)
             self._slide(g, state.t, z.values, w)
         else:

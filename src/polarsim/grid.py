@@ -20,21 +20,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 
-if TYPE_CHECKING:
-    from .kinetics import ModelParams
-
 __all__ = [
     "Grid",
     "Field",
     "SimState",
-    "transform_w",
-    "transform_z",
     "neumann_eigenvalue",
     "discrete_neumann_eigenvalue",
     "second_eigenvalue",
@@ -115,22 +109,9 @@ class Grid:
         """Coordinate arrays broadcast to the full grid shape (ij indexing)."""
         return tuple(np.meshgrid(*self.coords(), indexing="ij"))
 
-    def axis_weights(self) -> tuple[np.ndarray, ...]:
-        """Trapezoid quadrature weights along each axis (h/2 at the ends).
-
-        Built once per grid; the arrays are shared and read-only.
-        """
-        return self._axis_weights
-
-    def weights(self) -> np.ndarray:
-        """Full quadrature weight array (outer product of the axis weights).
-
-        Built once per grid; the array is shared and read-only.
-        """
-        return self._weights
-
     @cached_property
-    def _axis_weights(self) -> tuple[np.ndarray, ...]:
+    def axis_weights(self) -> tuple[np.ndarray, ...]:
+        """Trapezoid quadrature weights along each axis (h/2 at the ends); read-only."""
         out = []
         for h, n in zip(self.spacings, self.counts):
             w = np.full(n, h)
@@ -140,10 +121,27 @@ class Grid:
         return tuple(out)
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        w = reduce(np.multiply.outer, self._axis_weights)
+    def weights(self) -> np.ndarray:
+        """Full quadrature weight array (outer product of the axis weights); read-only."""
+        w = reduce(np.multiply.outer, self.axis_weights)
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalue of -laplacian on each DCT-I mode, shaped like the grid; read-only.
+
+        Sampled cosines diagonalise the 1-D stencil with eigenvalues
+        mu_k^h = (2/h^2)(1 - cos(pi k h / L)), k = 0..n-1; a 2-D mode's
+        eigenvalue is the sum of its per-axis values.
+        """
+        per_axis = [
+            (2.0 / (h * h)) * (1.0 - np.cos(np.pi * np.arange(n) * h / L))
+            for L, h, n in zip(self.lengths, self.spacings, self.counts)
+        ]
+        mu = reduce(np.add.outer, per_axis)
+        mu.setflags(write=False)
+        return mu
 
     # -- operators on raw value arrays ---------------------------------
 
@@ -163,7 +161,7 @@ class Grid:
     def integral(self, values: np.ndarray) -> float:
         """Trapezoid-rule integral over the domain (not normalized)."""
         a = self._check_values(values)
-        return float(np.sum(self.weights() * a))
+        return float(np.sum(self.weights * a))
 
     def mean(self, values: np.ndarray) -> float:
         """Volume-normalized trapezoid mean."""
@@ -178,7 +176,7 @@ class Grid:
         """Volume-normalized quadrature inner product."""
         fa = self._check_values(f)
         ga = self._check_values(g)
-        return float(np.sum(self.weights() * fa * ga)) / self.volume
+        return float(np.sum(self.weights * fa * ga)) / self.volume
 
     def l2_norm(self, values: np.ndarray) -> float:
         """Volume-normalized L2 norm."""
@@ -204,7 +202,7 @@ class Grid:
             total = float(np.dot(np.diff(fa), np.diff(ga))) / h
         else:
             hx, hy = self.spacings
-            wx, wy = self.axis_weights()
+            wx, wy = self.axis_weights
             dfx = np.diff(fa, axis=0)
             dgx = np.diff(ga, axis=0)
             total = float(np.sum((dfx * dgx) @ wy)) / hx
@@ -267,16 +265,6 @@ class SimState:
         return self.u.grid
 
 
-def transform_w(state: SimState, p: ModelParams) -> Field:
-    """Diffusion-weighted combination w = D u + v."""
-    return Field(state.grid, p.D * state.u.values + state.v.values)
-
-
-def transform_z(state: SimState) -> Field:
-    """Total local density z = u + v (model-2 working variable)."""
-    return Field(state.grid, state.u.values + state.v.values)
-
-
 def neumann_eigenvalue(g: Grid, j: int) -> float:
     """j-th smallest continuum Neumann eigenvalue of -Laplace on the domain.
 
@@ -296,23 +284,11 @@ def neumann_eigenvalue(g: Grid, j: int) -> float:
     return vals[j - 1]
 
 
-def _axis_discrete_eigenvalues(L: float, n: int) -> np.ndarray:
-    h = L / (n - 1)
-    k = np.arange(n)
-    return (2.0 / (h * h)) * (1.0 - np.cos(np.pi * k * h / L))
-
-
 def discrete_neumann_eigenvalue(g: Grid, j: int) -> float:
-    """j-th smallest eigenvalue of the discrete operator -laplacian.
-
-    The 1-D stencil is diagonalized by sampled cosines, giving
-    mu_k^h = (2/h^2)(1 - cos(pi k h / L)), k = 0..n-1; in 2-D the spectrum is
-    the sorted set of sums of the per-axis values.
-    """
+    """j-th smallest eigenvalue of the discrete operator -laplacian (sorted ``g.spectrum``)."""
     if j < 1:
         raise ParameterError(f"eigenvalue index must be >= 1, got {j}")
-    per_axis = [_axis_discrete_eigenvalues(L, n) for L, n in zip(g.lengths, g.counts)]
-    sums = np.sort(reduce(np.add.outer, per_axis).ravel())
+    sums = np.sort(g.spectrum.ravel())
     if j > sums.size:
         raise ParameterError(
             f"discrete spectrum has only {sums.size} eigenvalues, asked for {j}"

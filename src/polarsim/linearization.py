@@ -119,7 +119,9 @@ def degeneracy_residual(
     -tr M(0) = fv/tau - fu, the well-mixed rate, for j = 1 (mu_j unused).
     The closed form is evaluated as such: det M(mu_j)/mu_j would cancel the
     fu fv terms and lose digits as mu_j -> 0.  With gamma = 0 both are
-    positive: a flat activation never degenerates.
+    positive: a flat activation never degenerates.  A residual that is not
+    finite (a'(u*) overflows to inf or inf/inf) raises
+    :class:`~polarsim.errors.EquilibriumError`.
     """
     if j < 1:
         raise ParameterError(f"mode index must be >= 1, got {j}")
@@ -127,11 +129,16 @@ def degeneracy_residual(
         raise ParameterError(f"mode eigenvalue must be >= 0, and > 0 for j >= 2, got {mu_j}")
     if eq is None:
         eq = solve_equilibrium(p, lam)
-    fu, fv = p.jacobian(eq.u_star, eq.v_star)
-    if j == 1:
-        tr, _ = _trace_det(mode_matrix(fu, fv, p.D, p.tau, 0.0)[0])
-        return -tr
-    return p.D * mu_j + p.D * fv - fu
+    with np.errstate(all="ignore"):  # a residual past the float range is refused below
+        fu, fv = p.jacobian(eq.u_star, eq.v_star)
+        if j == 1:
+            r = -_trace_det(mode_matrix(fu, fv, p.D, p.tau, 0.0)[0])[0]
+        else:
+            r = p.D * mu_j + p.D * fv - fu
+    if not math.isfinite(r):
+        what = "a'(u*)" if not math.isfinite(fu) else "a term"
+        raise EquilibriumError(f"the degeneracy residual is not finite ({r}): {what} leaves the float range")
+    return r
 
 
 @dataclass(frozen=True)
@@ -229,5 +236,5 @@ def linearized_operator_matrix(p: Model4Params, lam: float, g: Grid) -> np.ndarr
         flat[i] = 1.0
         lap[:, i] = g.laplacian(basis).ravel()
         flat[i] = 0.0
-    mean_row = (g.weights() / g.volume).ravel()
+    mean_row = (g.weights / g.volume).ravel()
     return -p.D * lap + c * np.eye(n) + (a * p.xi / p.tau) * np.outer(np.ones(n), mean_row)

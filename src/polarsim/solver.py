@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -49,7 +48,7 @@ import numpy as np
 from . import diagnostics, equilibrium, tables
 from .equilibrium import check_km, has_homogeneous_equilibrium
 from .errors import ConfigError, EquilibriumError, ParameterError, PolarsimError, SolverError
-from .grid import Field, Grid, SimState, _axis_discrete_eigenvalues, transform_w
+from .grid import Field, Grid, SimState
 from .kinetics import Model4Params, ModelParams, StackedParams, reaction_rhs
 
 __all__ = [
@@ -164,8 +163,8 @@ class _NeumannSolve:
     """S_alpha = (I - alpha lap)^-1 on a stack of fields, exact and direct.
 
     The mirror-ghost Laplacian is diagonalised by the DCT-I, with
-    eigenvalues mu_k per axis, so S_alpha is a multiply by
-    1/(1 + alpha sum mu) between a forward and an inverse DCT-I, applied axis
+    eigenvalues mu = ``g.spectrum``, so S_alpha is a multiply by
+    1/(1 + alpha mu) between a forward and an inverse DCT-I, applied axis
     by axis (:class:`_Dct1Axis`) in any dimension; ``DENSE_AXIS_MAX`` says
     which axes are dense.  The 2/(n-1) of each dense axis is folded into the
     multipliers.  The spectrum of the rfft axis, if any, is complex, so it
@@ -174,8 +173,7 @@ class _NeumannSolve:
     """
 
     def __init__(self, g: Grid) -> None:
-        mu = [_axis_discrete_eigenvalues(L, n) for L, n in zip(g.lengths, g.counts)]
-        self.mu = reduce(np.add.outer, mu)
+        self.mu = g.spectrum
         axes = [
             _Dct1Axis(ax - g.dim, n, n <= DENSE_AXIS_MAX or n <= g.n_nodes // n)
             for ax, n in enumerate(g.counts)
@@ -569,7 +567,8 @@ def write_snapshot(path: str | Path, state: SimState, p: ModelParams, meta: dict
         strings = map(tables.fmt, c)
         strings = strings if ax == 0 else itertools.cycle(strings)
         coords.append(itertools.chain.from_iterable(map(itertools.repeat, strings, inner)))
-    values = [f.values.ravel() for f in (state.u, state.v, transform_w(state, p))]
+    w = Field(g, p.D * state.u.values + state.v.values)
+    values = [f.values.ravel() for f in (state.u, state.v, w)]
     columns = ("x", "y")[: g.dim] + ("u", "v", "w")
     meta_lines = [*header, ("t", tables.fmt(state.t)), ("grid", spec)]
     tables.write_table(path, "snapshot", meta_lines, columns, tables.row_blocks(values, coords))

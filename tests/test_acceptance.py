@@ -325,7 +325,7 @@ def test_10_discrete_analysis_layer():
         for i in range(1, n - 1):
             A[i, i - 1] = A[i, i + 1] = 1.0
         A /= h * h
-        W = np.diag(g.weights())
+        W = np.diag(g.weights)
         S = -0.5 * (W @ A + A.T @ W)
         mu2h = float(eigh(S, W, eigvals_only=True)[1])
         for _ in range(1000):

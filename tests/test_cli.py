@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import polarsim
-from polarsim import Field, Grid, Model4Params, cli, equilibrium, solve_equilibrium, solver
+from polarsim import Field, Grid, Model4Params, cli, diagnostics, equilibrium, solve_equilibrium, solver
 from polarsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from polarsim.equilibrium import integrate_homogeneous_ode
-from polarsim.errors import EquilibriumError
+from polarsim.errors import DiagnosticsError, EquilibriumError
 from polarsim.grid import second_eigenvalue
 from polarsim.linearization import degeneracy_residual, scan_degeneracy
 
@@ -258,6 +258,18 @@ class TestSimulate:
         assert g.counts == (32,)
         assert np.all(u == 1e-6) and np.all(v == 0.0)
 
+    def test_mass_line_failure_exits_3_and_is_summarised(self, tmp_path, monkeypatch):
+        def off_the_line(*args, **kwargs):
+            raise DiagnosticsError("mass line gap 1 exceeds 1e-06")
+
+        monkeypatch.setattr(diagnostics, "omega_limit_check", off_the_line)
+        cfg = write_cfg(tmp_path, QUICK)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        summary = summary_dict(out / "summary.txt")
+        assert summary["mass_line_check"] == "FAIL: mass line gap 1 exceeds 1e-06"
+        assert summary["status"] == "failed: mass conservation"
+
 
     @pytest.mark.parametrize("name", ["summary.txt", "state_00000.txt"])
     def test_unwritable_output_file_is_one_error_line(self, tmp_path, capsys, name):
@@ -443,18 +455,31 @@ def test_hill_term_underflow_is_refused(capsys, command):
     assert "k^m underflows to 0" in errors[0]
 
 
-@pytest.mark.parametrize("param, lo, hi", [("delta", "0.1", "1"), ("lambda", "0.2", "2")])
-def test_scan_with_every_sample_failed_is_one_error_line(capsys, caplog, param, lo, hi):
+UNDERFLOW = (["--k", "1e-300"], "k^m underflows to 0")
+# a'(u*) is inf/inf once (k^m + u^m)^2 overflows: every residual is NaN
+OVERFLOW = (["--gamma", "1e10", "--k", "1e150"], "a'(u*) leaves the float range")
+
+
+@pytest.mark.parametrize(
+    "param, lo, hi, flags, cause",
+    [
+        pytest.param("delta", "0.1", "1", *UNDERFLOW, id="delta-0.1-1"),
+        pytest.param("lambda", "0.2", "2", *UNDERFLOW, id="lambda-0.2-2"),
+        pytest.param("D", "0.1", "1", *OVERFLOW, id="D-a_prime-overflow"),
+        pytest.param("delta", "0.1", "1", *OVERFLOW, id="delta-a_prime-overflow"),
+    ],
+)
+def test_scan_with_every_sample_failed_is_one_error_line(capsys, caplog, param, lo, hi, flags, cause):
     # no sample was evaluated: "no degeneracy points found" would be a verdict
     # without evidence
-    code = main(["scan", "--param", param, "--lo", lo, "--hi", hi, "--samples", "5", "--k", "1e-300"])
+    code = main(["scan", "--param", param, "--lo", lo, "--hi", hi, "--samples", "5", *flags])
     assert code == EXIT_RUNTIME
     out = capsys.readouterr()
     assert "no degeneracy points found" not in out.out
     errors = out.err.splitlines()
     assert len(errors) == 1
     assert errors[0].startswith(f"error: every sample of the {param} scan failed")
-    assert "k^m underflows to 0" in errors[0]
+    assert cause in errors[0]
     assert len(caplog.messages) == 5 and all("failed" in m for m in caplog.messages)
 
 

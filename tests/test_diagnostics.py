@@ -38,8 +38,7 @@ from polarsim.diagnostics import (
     write_diagnostics_table,
 )
 from polarsim.errors import DiagnosticsError, ParameterError
-from polarsim.grid import transform_z
-from polarsim.solver import SimState, SolverConfig, run, transform_w
+from polarsim.solver import SimState, SolverConfig, run
 
 P1 = Model1Params(D=0.4, tau=1.0, a=1.0, b=1.0, k=1.0)
 P2 = Model2Params(D=0.4, tau=2.0, alpha1=1.0, alpha2=1.0)
@@ -376,7 +375,7 @@ class TestRecordBuilder:
         assert rec.lam == pytest.approx(g.mean(u.values + P4.tau * v.values), rel=1e-14)
         assert rec.u_mean == pytest.approx(g.mean(u.values), rel=1e-14)
         assert rec.w_mean == pytest.approx(
-            g.mean(transform_w(state, P4).values), rel=1e-14
+            g.mean(P4.D * u.values + v.values), rel=1e-14
         )
         assert rec.u_dev_linf == pytest.approx(
             float(np.max(np.abs(u.values - g.mean(u.values)))), rel=1e-12
@@ -392,7 +391,7 @@ class TestRecordBuilder:
         g, u, v = interval_fields(33)
         state = SimState(0.0, u, v)
         rec = RecordBuilder(P1, 1.0, None).build(state)
-        w = transform_w(state, P1)
+        w = Field(g, P1.D * u.values + v.values)
         assert rec.lyapunov == pytest.approx(lyapunov_model1(u, w, P1), rel=1e-13)
         assert math.isnan(rec.dist_star)
 
@@ -532,7 +531,7 @@ class TestPairingAndSup:
             (u0, v0),
             p,
             SolverConfig(t_end=0.5, dt=1e-3, stride=50),
-            on_record=lambda state, rec: ws.append(transform_w(state, p).values),
+            on_record=lambda state, rec: ws.append(p.D * state.u.values + state.v.values),
         )
         mon = res.pairing
         assert len(ws) == len(res.records) == len(mon.integrand)

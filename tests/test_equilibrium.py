@@ -178,6 +178,16 @@ class TestExactRoot:
         with pytest.raises(EquilibriumError, match="stalled"):
             solve_equilibrium(STD, 1.0)
 
+    def test_nan_slope_leaves_the_bracketed_root_standing(self):
+        # (k^m + u^m)^2 overflows, so a'(u*) is inf/inf: the gate reads the NaN
+        # slope as inf.  The Hill term is below 1e-280 on [0, 1], so u* is the
+        # constant-activation root for a = b k0
+        p = replace(STD, gamma=1e10, k=1e150)
+        eq = solve_equilibrium(p, 1.0)
+        assert eq.u_star == constant_a_equilibrium(p.b * p.k0, p.tau, p.delta, 1.0)
+        assert eq.residual == 0.0
+        assert equilibrium._residual_tolerance(p, eq.u_star, eq.v_star) == math.inf
+
     @pytest.mark.parametrize("lam, m", [(1e100, 3.5), (2.0, 1100.0)])
     def test_overflowing_power_refused(self, lam, m):
         with pytest.raises(EquilibriumError, match="overflows"):

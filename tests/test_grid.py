@@ -20,6 +20,7 @@ from polarsim.grid import (
     neumann_eigenvalue,
     second_eigenvalue,
 )
+from polarsim.solver import _NeumannSolve
 
 
 def dense_laplacian_1d(length: float, n: int) -> np.ndarray:
@@ -235,7 +236,7 @@ def dense_neumann_spectrum(g: Grid) -> np.ndarray:
     problem and returns the spectrum of -A sorted ascending.
     """
     A = dense_laplacian_1d(*g.lengths, *g.counts) if g.dim == 1 else dense_laplacian_2d(g)
-    W = np.diag(g.weights().ravel())
+    W = np.diag(g.weights.ravel())
     WA = W @ A
     vals = eigh(-0.5 * (WA + WA.T), W, eigvals_only=True)
     return vals
@@ -283,6 +284,20 @@ class TestEigenvalues:
         for j in range(1, 7):
             want = discrete_neumann_eigenvalue(g, j + 1)
             assert vals[j] == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+    def test_one_spectrum_per_grid(self):
+        # the implicit solve and the eigenvalue lookups read the same table
+        for g in (Grid.interval(1.3, 21), Grid.rectangle(1.0, 1.7, 9, 11)):
+            mu = g.spectrum
+            assert mu is g.spectrum
+            assert _NeumannSolve(g).mu is mu
+            assert mu.shape == g.shape
+            assert not mu.flags.writeable
+            with pytest.raises(ValueError):
+                mu.flat[0] = 1.0
+            sorted_mu = np.sort(mu.ravel())
+            for j in range(1, g.n_nodes + 1):
+                assert discrete_neumann_eigenvalue(g, j) == sorted_mu[j - 1]
 
     def test_second_eigenvalue_dispatch(self):
         g = Grid.interval(1.0, 33)
@@ -381,22 +396,22 @@ class TestGridAndFieldValidation:
         assert g.n_nodes == 45
         assert g.volume == pytest.approx(2.0)
         assert g.spacings == (0.25, 0.25)
-        w = g.weights()
+        w = g.weights
         assert w.shape == (5, 9)
         # Weights integrate the constant 1 exactly to the (normalized) volume.
         assert np.sum(w) == pytest.approx(g.volume, rel=1e-14)
 
     def test_weights_built_once_and_read_only(self):
         for g in (Grid.interval(2.0, 9), Grid.rectangle(1.0, 2.0, 5, 9)):
-            assert g.weights() is g.weights()
-            arrays = (g.weights(), *g.axis_weights())
+            assert g.weights is g.weights
+            arrays = (g.weights, *g.axis_weights)
             for w in arrays:
                 assert not w.flags.writeable
                 with pytest.raises(ValueError):
                     w[0] = 1.0
             h, n = g.spacings[0], g.counts[0]
             want = np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
-            assert np.array_equal(g.axis_weights()[0], want)
+            assert np.array_equal(g.axis_weights[0], want)
 
 
 @pytest.mark.parametrize("n", [3, 64, 257])
@@ -411,8 +426,8 @@ class TestOneDimensionalClosedForms:
         h = self.LENGTH / (n - 1)
         want = np.full(n, h)
         want[0] = want[-1] = 0.5 * h
-        assert np.array_equal(g.weights(), want)
-        assert g.weights().shape == (n,)
+        assert np.array_equal(g.weights, want)
+        assert g.weights.shape == (n,)
 
     def test_laplacian_is_the_second_difference(self, n):
         g = Grid.interval(self.LENGTH, n)

@@ -354,14 +354,28 @@ class TestScanDegeneracy:
         assert scan_degeneracy(SCAN_P, 1.0, 2, SCAN_MU2, param, lo, hi, 40) == want
         assert len(calls) == (solves or len(evals)) and len(evals) >= 40
 
-    @pytest.mark.parametrize("param", ["D", "delta", "lambda"])
-    def test_scan_with_no_evaluated_sample_raises(self, caplog, param):
-        p = replace(SCAN_P, k=1e-300)  # k^m underflows: every equilibrium solve is refused
+    # k^m underflows: every equilibrium solve is refused, and a D scan fails
+    # at its one solve, before any sample; (k^m + u^m)^2 overflows: a'(u*) is
+    # inf/inf, and every residual NaN
+    UNDERFLOW = ({"k": 1e-300}, r"k\^m underflows")
+    OVERFLOW = ({"gamma": 1e10, "k": 1e150}, r"a'\(u\*\) leaves the float range")
+
+    @pytest.mark.parametrize(
+        "param, kinetics, cause, logged",
+        [
+            pytest.param("D", *UNDERFLOW, 0, id="D"),
+            pytest.param("delta", *UNDERFLOW, 6, id="delta"),
+            pytest.param("lambda", *UNDERFLOW, 6, id="lambda"),
+            pytest.param("D", *OVERFLOW, 6, id="D-a_prime-overflow"),
+            pytest.param("delta", *OVERFLOW, 6, id="delta-a_prime-overflow"),
+        ],
+    )
+    def test_scan_with_no_evaluated_sample_raises(self, caplog, param, kinetics, cause, logged):
+        p = replace(SCAN_P, **kinetics)
         with caplog.at_level("WARNING", logger="polarsim.linearization"):
-            with pytest.raises(EquilibriumError, match="k\\^m underflows"):
+            with pytest.raises(EquilibriumError, match=cause):
                 scan_degeneracy(p, 1.0, 2, SCAN_MU2, param, 0.1, 1.0, 6)
-        # a D scan fails at its one solve, before any sample
-        assert len(caplog.records) == (0 if param == "D" else 6)
+        assert len(caplog.records) == logged
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -18,7 +18,6 @@ import pytest
 
 from polarsim import Field, Grid, Model1Params, Model2Params, Model4Params, solve_equilibrium, solver
 from polarsim.errors import ConfigError, ParameterError, SolverError
-from polarsim.grid import transform_z
 from polarsim.kinetics import reaction_rhs
 from polarsim.tables import BLOCK_ROWS
 from polarsim.solver import (
@@ -32,7 +31,6 @@ from polarsim.solver import (
     default_dt,
     read_snapshot,
     run,
-    transform_w,
     write_snapshot,
 )
 
@@ -110,6 +108,14 @@ class TestStateValidation:
         with pytest.raises(ParameterError, match="vanish"):
             run((z, z.copy()), STD, SolverConfig(t_end=0.1, dt=0.05))
 
+    def test_batch_members_must_share_grid(self):
+        ic = [
+            (Field(g, np.full(17, 0.5)), Field(g, np.full(17, 0.5)))
+            for g in (Grid.interval(1.0, 17), Grid.interval(2.0, 17))
+        ]
+        with pytest.raises(ParameterError, match="must share grid, dt, model and Hill exponent"):
+            run(ic, [STD, STD], SolverConfig(t_end=0.1, dt=0.05))
+
     def test_simstate_grid_consistency(self):
         g1, g2 = Grid.interval(1.0, 17), Grid.interval(2.0, 17)
         with pytest.raises(ParameterError):
@@ -117,22 +123,13 @@ class TestStateValidation:
 
 
 class TestTransforms:
-    def test_w_and_z_definitions(self):
-        g = Grid.interval(1.0, 33)
-        rng = np.random.default_rng(1)
-        s = SimState(0.0, Field(g, rng.uniform(0, 1, 33)), Field(g, rng.uniform(0, 1, 33)))
-        w = transform_w(s, STD)
-        z = transform_z(s)
-        np.testing.assert_allclose(w.values, STD.D * s.u.values + s.v.values, rtol=1e-15)
-        np.testing.assert_allclose(z.values, s.u.values + s.v.values, rtol=1e-15)
-
     def test_tau_w_plus_xi_u_recovers_mass_density(self):
         # tau w + xi u = u + tau v pointwise when xi = 1 - tau D.
         g = Grid.interval(1.0, 33)
         rng = np.random.default_rng(2)
         s = SimState(0.0, Field(g, rng.uniform(0, 1, 33)), Field(g, rng.uniform(0, 1, 33)))
-        w = transform_w(s, STD)
-        lhs = STD.tau * w.values + STD.xi * s.u.values
+        w = STD.D * s.u.values + s.v.values
+        lhs = STD.tau * w + STD.xi * s.u.values
         np.testing.assert_allclose(lhs, s.u.values + STD.tau * s.v.values, rtol=1e-13)
 
     def test_model2_combination(self):
@@ -141,7 +138,7 @@ class TestTransforms:
         g = Grid.interval(1.0, 33)
         rng = np.random.default_rng(3)
         s = SimState(0.0, Field(g, rng.uniform(0, 1, 33)), Field(g, rng.uniform(0, 1, 33)))
-        lhs = p.xi * transform_z(s).values + transform_w(s, p).values
+        lhs = p.xi * (s.u.values + s.v.values) + (p.D * s.u.values + s.v.values)
         rhs = p.alpha * (s.u.values + p.tau * s.v.values)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
@@ -691,7 +688,7 @@ def loop_write_snapshot(path, state, p, meta=None):
     fmt = "%.17g"
     g = state.grid
     u, v = state.u.values, state.v.values
-    w = transform_w(state, p).values
+    w = p.D * u + v
     lines = ["# polarsim snapshot"]
     for key in sorted(meta or {}):
         lines.append(f"# {key} = {meta[key]}")
